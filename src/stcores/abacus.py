@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, check_s_set
 from .partitions import Partition
 
 
@@ -50,14 +50,7 @@ class SSet:
     elements: frozenset[int]
 
     def __post_init__(self) -> None:
-        if self.s < 2:
-            raise DomainError("s-sets need s >= 2")
-        if len(self.elements) != self.s:
-            raise DomainError(f"expected {self.s} elements, got {len(self.elements)}")
-        if len({a % self.s for a in self.elements}) != self.s:
-            raise DomainError("elements must be pairwise incongruent mod s")
-        if sum(self.elements) != self.s * (self.s - 1) // 2:
-            raise DomainError("elements must sum to s(s-1)/2")
+        check_s_set(self.s, self.elements)
 
     def sorted_elements(self) -> tuple[int, ...]:
         return tuple(sorted(self.elements))

@@ -11,11 +11,9 @@ there is no reduced-word machinery here.
 
 from __future__ import annotations
 
-import math
-
 from .abacus import SSet, core_from_s_set, make_sset, q_set
 from .alcoves import SPoint
-from .errors import DomainError
+from .errors import DomainError, check_level, check_pair
 from .partitions import Partition
 
 Word = tuple[int, ...]
@@ -34,8 +32,7 @@ def psi_gen(i: int, t: int, p: SPoint) -> SPoint:
     """
     s = p.s
     _check_generator(i, s)
-    if t < 1:
-        raise DomainError("t must be a positive integer")
+    check_level(t)
     coords = list(p.coords)
     if i == 0:
         coords[0], coords[-1] = coords[-1] - s * t, coords[0] + s * t
@@ -45,8 +42,7 @@ def psi_gen(i: int, t: int, p: SPoint) -> SPoint:
 
 
 def _chi_residues(i: int, t: int, s: int) -> tuple[int, int]:
-    if math.gcd(s, t) != 1:
-        raise DomainError(f"({s}, {t}) must be coprime for the second action")
+    check_pair(s, t)
     return ((i - 1) * t) % s, (i * t) % s
 
 
@@ -87,8 +83,10 @@ def chi_on_core(i: int, t: int, lam: Partition, s: int) -> Partition:
 def apply_word(word: Word, action: str, t: int, p: SPoint) -> SPoint:
     """Apply a word of generators left to right under psi or chi."""
     if action == "psi":
+        check_level(t)
         gen = psi_gen
     elif action == "chi":
+        check_pair(p.s, t)
         gen = chi_gen
     else:
         raise DomainError(f"action must be 'psi' or 'chi', got {action!r}")
@@ -110,8 +108,7 @@ def parse_word(text: str) -> Word:
 
 def alpha(p: SPoint, t: int) -> SPoint:
     """The affine map rotating the dilated simplex: (p_s - (s-1)t, p_1 + t, ...)."""
-    if t < 1:
-        raise DomainError("t must be a positive integer")
+    check_level(t)
     s = p.s
     coords = (p.coords[-1] - (s - 1) * t,) + tuple(c + t for c in p.coords[:-1])
     return SPoint(coords)

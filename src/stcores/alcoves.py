@@ -8,13 +8,12 @@ s-point inside an alcove (equivalently its floor-vector key) is its identity.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
 from .abacus import SSet, make_sset
-from .errors import DomainError
+from .errors import DomainError, check_level, check_pair, check_s_set
 
 MAX_COORD = 2**62
 
@@ -26,15 +25,9 @@ class SPoint:
     coords: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        s = len(self.coords)
-        if s < 2:
-            raise DomainError("s-points need at least 2 coordinates")
         if any(abs(c) > MAX_COORD for c in self.coords):
             raise DomainError("coordinate overflow beyond the 63-bit guard")
-        if len({c % s for c in self.coords}) != s:
-            raise DomainError(f"coordinates must be pairwise incongruent mod {s}")
-        if sum(self.coords) != s * (s - 1) // 2:
-            raise DomainError("coordinates must sum to s(s-1)/2")
+        check_s_set(len(self.coords), self.coords)
 
     @property
     def s(self) -> int:
@@ -82,8 +75,6 @@ def point_from_text(text: str) -> SPoint:
 
 def origin(s: int) -> SPoint:
     """(0, 1, ..., s-1)."""
-    if s < 2:
-        raise DomainError("need s >= 2")
     return SPoint(tuple(range(s)))
 
 
@@ -188,8 +179,7 @@ def point_of_sset(q: SSet) -> SPoint:
 
 def in_rhomboid(p: SPoint, t: int) -> bool:
     """Membership in R^s_t: consecutive gaps all within [1, t]."""
-    if t < 1:
-        raise DomainError("t must be a positive integer")
+    check_level(t)
     if not is_dominant(p):
         raise DomainError("in_rhomboid expects a dominant point; fold first")
     return all(1 <= b - a <= t for a, b in zip(p.coords, p.coords[1:]))
@@ -197,10 +187,7 @@ def in_rhomboid(p: SPoint, t: int) -> bool:
 
 def tip(s: int, t: int) -> SPoint:
     """The vertex of R^s_t opposite the origin: gaps all equal to t."""
-    if s < 2:
-        raise DomainError("need s >= 2")
-    if math.gcd(s, t) != 1:
-        raise DomainError(f"({s}, {t}) must be coprime")
+    check_pair(s, t)
     coords = []
     for i in range(1, s + 1):
         num = s - 1 + t * (2 * i - 1 - s)
@@ -257,8 +244,7 @@ def hyperplane_meets_rhomboid(h: Hyperplane, s: int, t: int) -> bool:
 
     Coprimality keeps both bounds non-integral, so strictness is safe.
     """
-    if math.gcd(s, t) != 1:
-        raise DomainError(f"({s}, {t}) must be coprime")
+    check_pair(s, t)
     if h.j > s:
         raise DomainError("hyperplane indices exceed s")
     d = h.j - h.i

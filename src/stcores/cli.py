@@ -32,11 +32,16 @@ def _emit(args, input_obj, result, s=None, t=None, plain=None) -> None:
             print(line)
 
 
-def _step_lines(steps):
+def _step_records(steps):
+    """One {"step", "gen", "sset", "core"} record per (generator, s-set, core) step."""
     return [
-        f"step {n}: gen={i} sset={abacus.sset_to_text(q)} core={parts.to_text(core)}"
+        {"step": n, "gen": i, "sset": abacus.sset_to_text(q), "core": parts.to_text(core)}
         for n, (i, q, core) in enumerate(steps, start=1)
     ]
+
+
+def _step_lines(records):
+    return [f"step {r['step']}: gen={r['gen']} sset={r['sset']} core={r['core']}" for r in records]
 
 
 def _cmd_core(args) -> int:
@@ -90,18 +95,14 @@ def _cmd_enumerate(args) -> int:
 def _cmd_orbit_min(args) -> int:
     lam = parts.from_text(args.partition)
     nu, trace = orbits.descend_to_t_core(lam, args.s, args.t)
-    steps = [(i, q, abacus.core_from_s_set(q)) for i, q in trace.steps]
-    step_records = [
-        {"step": n, "gen": i, "sset": abacus.sset_to_text(q), "core": parts.to_text(core)}
-        for n, (i, q, core) in enumerate(steps, start=1)
-    ]
+    records = _step_records((i, q, abacus.core_from_s_set(q)) for i, q in trace.steps)
     _emit(
         args,
         {"partition": args.partition},
-        {"t_core": parts.to_text(nu), "steps": step_records},
+        {"t_core": parts.to_text(nu), "steps": records},
         s=args.s,
         t=args.t,
-        plain=_step_lines(steps) + [parts.to_text(nu)],
+        plain=_step_lines(records) + [parts.to_text(nu)],
     )
     return 0
 
@@ -109,29 +110,26 @@ def _cmd_orbit_min(args) -> int:
 def _cmd_chain(args) -> int:
     point = alcoves.point_from_text(args.point)
     chain = orbits.containment_chain(point, args.s, args.t)
-    steps = [
+    records = _step_records(
         (i, alcoves.sset_of_point(p), core)
         for i, p, core in zip(chain.gens, chain.points[1:], chain.cores[1:])
-    ]
-    step_records = [
-        {"step": n, "gen": i, "sset": abacus.sset_to_text(q), "core": parts.to_text(core)}
-        for n, (i, q, core) in enumerate(steps, start=1)
-    ]
+    )
     final = parts.to_text(chain.cores[-1])
     _emit(
         args,
         {"point": args.point},
-        {"final_core": final, "steps": step_records},
+        {"final_core": final, "steps": records},
         s=args.s,
         t=args.t,
-        plain=_step_lines(steps) + [final],
+        plain=_step_lines(records) + [final],
     )
     return 0
 
 
 def _cmd_verify(args) -> int:
-    if args.s_max < 2 or args.t_max < 2:
-        print("stcores verify: error: --s-max and --t-max must be at least 2", file=sys.stderr)
+    if args.s_max < 2 or args.t_max < 2 or args.trials < 1:
+        print("stcores verify: error: --s-max and --t-max must be at least 2, --trials at least 1",
+              file=sys.stderr)
         return 1
     names = list(SUITES) if args.suite == "all" else [args.suite]
     checks = run_suites(names, args.s_max, args.t_max, args.seed, args.trials)

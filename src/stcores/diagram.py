@@ -13,12 +13,11 @@ a pure function of the inputs, hence byte-identical across runs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .abacus import core, core_from_s_set, make_sset
 from .alcoves import SPoint
-from .errors import DomainError
+from .errors import DomainError, check_pair
 from .partitions import Partition
 
 _UX = 15  # pixels per unit of u - v
@@ -45,8 +44,7 @@ class RenderSpec:
         if self.mode == "tcores":
             if self.t is None:
                 raise DomainError("tcores mode needs t")
-            if math.gcd(3, self.t) != 1:
-                raise DomainError(f"(3, {self.t}) must be coprime")
+            check_pair(self.s, self.t)
 
 
 @dataclass(frozen=True)

@@ -37,14 +37,13 @@ from .alcoves import (
     tip,
 )
 from .affine_actions import chi_gen, chi_on_sset
-from .errors import DomainError
+from .errors import DomainError, check_level, check_pair
 from .partitions import Partition
 
 
 def residue_multiset(q: SSet, t: int) -> tuple[int, ...]:
     """Counts (n_0, ..., n_{t-1}) of elements of q in each class mod t."""
-    if t < 1:
-        raise DomainError("t must be a positive integer")
+    check_level(t)
     counts = [0] * t
     for a in q.elements:
         counts[a % t] += 1
@@ -81,10 +80,7 @@ def descend_to_t_core(lam: Partition, s: int, t: int) -> tuple[Partition, OrbitD
     bead-closure condition for t, so the result is a t-core, and it equals
     the t-core of lam because every step preserves it.
     """
-    if math.gcd(s, t) != 1:
-        raise DomainError(f"({s}, {t}) must be coprime")
-    if s < 2:
-        raise DomainError("need s >= 2")
+    check_pair(s, t)
     q = q_set(lam, s)  # validates that lam is an s-core
     by_res = dict(q.by_residue())
     steps: list[tuple[int, SSet]] = []
@@ -117,8 +113,7 @@ def kappa(s: int, t: int) -> Partition:
 
 def anderson_count(s: int, t: int) -> int:
     """Number of (s,t)-cores: C(s+t, s) / (s+t)."""
-    if math.gcd(s, t) != 1:
-        raise DomainError(f"({s}, {t}) must be coprime")
+    check_pair(s, t)
     num = math.comb(s + t, s)
     if num % (s + t):
         raise RuntimeError("binomial not divisible by s+t despite coprimality")
@@ -136,10 +131,7 @@ def _iter_st_core_ssets(s: int, t: int):
     with sum at most t determines b_0 from the fixed total, and the choice is
     an s-set exactly when b_0 lands in residue class 0.
     """
-    if math.gcd(s, t) != 1:
-        raise DomainError(f"({s}, {t}) must be coprime")
-    if s < 2:
-        raise DomainError("need s >= 2")
+    check_pair(s, t)
     base = (s - 1) * (1 + t) // 2  # b_0 for the all-zero multiplier vector
 
     def scan(j: int, budget: int, prefix_sum: int, sum_of_prefix_sums: int, b_rel: list[int]):
@@ -194,8 +186,7 @@ def containment_chain(p: SPoint, s: int, t: int) -> ContainmentChain:
     If no generator ever qualifies before the tip is reached the construction
     itself is falsified, so that state raises rather than being patched over.
     """
-    if math.gcd(s, t) != 1:
-        raise DomainError(f"({s}, {t}) must be coprime")
+    check_pair(s, t)
     if p.s != s:
         raise DomainError(f"point has {p.s} coordinates, expected {s}")
     q = fold_to_dominant(p)

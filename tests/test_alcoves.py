@@ -168,6 +168,8 @@ def test_tip_examples():
         assert sum(tip(s, t).coords) == s * (s - 1) // 2
     with pytest.raises(DomainError):
         tip(4, 6)
+    with pytest.raises(DomainError):
+        tip(2, -3)
 
 
 def test_tip_core_is_both_cores():

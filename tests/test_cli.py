@@ -1,4 +1,9 @@
+import io
 import json
+import signal
+from contextlib import redirect_stderr, redirect_stdout
+
+from hypothesis import given, settings, strategies as st
 
 from stcores import cli
 
@@ -101,6 +106,21 @@ def test_exit_codes(capsys):
     assert code == 2
     code, _, _ = run_cli(capsys, "diagram", "--s", "3", "--t", "6", "--mode", "tcores")
     assert code == 2
+    # parameters outside the contract: one stderr line and nothing on stdout
+    for argv, expected in [
+        (["orbit-min", "--s", "3", "--t", "-2", "2"], 2),
+        (["kappa", "--s", "2", "--t", "-3"], 2),
+        (["enumerate", "--s", "2", "--t", "-3"], 2),
+        (["count", "--s", "2", "--t", "-3"], 2),
+        (["count", "--s", "0", "--t", "1"], 2),
+        (["act", "psi", "--t", "0", "(0,1,2)"], 2),
+        (["act", "chi", "--t", "6", "(0,1,2)"], 2),
+        (["verify", "--trials", "-5"], 1),
+        (["verify", "--trials", "0"], 1),
+    ]:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (expected, ""), argv
+        assert err.startswith("stcores") and len(err.splitlines()) == 1, argv
 
 
 def test_verify_command(capsys):
@@ -144,3 +164,44 @@ def test_round_trip_of_output_text(capsys):
     assert abacus.sset_from_text(out.strip(), 5) == abacus.make_sset(5, [5, -4, 2, -2, 9])
     _, out, _ = run_cli(capsys, "act", "chi", "--t", "4", "--word", "0", "(0,1,2)")
     assert point_from_text(out.strip()).coords == (-4, 1, 6)
+
+
+_small = st.integers(-3, 9)
+
+
+@st.composite
+def _small_argv(draw):
+    command = draw(st.sampled_from(["kappa", "count", "enumerate", "orbit-min", "chain", "act"]))
+    s, t = str(draw(_small)), str(draw(_small))
+    origin = "(" + ",".join(str(c) for c in range(max(int(s), 2))) + ")"
+    if command == "orbit-min":
+        return [command, "--s", s, "--t", t, draw(st.sampled_from(["", "2"]))]
+    if command == "chain":
+        return [command, "--s", s, "--t", t, origin]
+    if command == "act":
+        action = draw(st.sampled_from(["psi", "chi"]))
+        word = " ".join(str(i) for i in draw(st.lists(_small, max_size=3)))
+        return [command, action, "--t", t, "--word", word, origin]
+    return [command, "--s", s, "--t", t]
+
+
+def _on_alarm(signum, frame):
+    raise TimeoutError("cli.main did not return within the alarm")
+
+
+@settings(max_examples=80, deadline=None)
+@given(_small_argv())
+def test_small_and_invalid_parameters_exit_cleanly(argv):
+    """Zero, negative and non-coprime (s, t) end in an exit code, never a hang or traceback."""
+    previous = signal.signal(signal.SIGALRM, _on_alarm)
+    signal.alarm(10)
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse usage errors
+                code = exc.code
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code in (0, 1, 2, 3), argv

@@ -37,6 +37,8 @@ def test_spec_validation():
     with pytest.raises(DomainError):
         RenderSpec(s=3, depth=3, mode="tcores", t=6)
     with pytest.raises(DomainError):
+        RenderSpec(s=3, depth=3, mode="tcores", t=-2)
+    with pytest.raises(DomainError):
         RenderSpec(s=3, depth=3, mode="squares")
 
 

@@ -58,6 +58,8 @@ def test_descend_examples():
         descend_to_t_core(P(3), 3, 4)  # (3) is not a 3-core
     with pytest.raises(DomainError):
         descend_to_t_core(P(), 3, 6)
+    with pytest.raises(DomainError):
+        descend_to_t_core(P(), 3, -2)
 
 
 def test_descent_matches_abacus_and_decreases():
@@ -108,6 +110,8 @@ def test_anderson_count_examples():
     assert anderson_count(4, 5) == 14
     with pytest.raises(DomainError):
         anderson_count(4, 6)
+    with pytest.raises(DomainError):
+        anderson_count(2, -3)
 
 
 def test_enumerate_examples():
