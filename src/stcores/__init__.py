@@ -1,5 +1,7 @@
 """Core partitions, abacus displays, alcove geometry and simultaneous cores."""
 
+from types import ModuleType as _ModuleType
+
 from .abacus import (
     BetaSet,
     SSet,
@@ -63,4 +65,9 @@ from .partitions import (
     toggle_residue,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The layer modules bind themselves here on import; they are not API.
+__all__ = [
+    name
+    for name in dir()
+    if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)
+]

@@ -66,6 +66,18 @@ def make_sset(s: int, elements) -> SSet:
     return SSet(s, frozenset(elements))
 
 
+def _sset_unchecked(s: int, elements) -> SSet:
+    """An SSet built without check_s_set, for elements already known valid.
+
+    Only for moves that preserve the invariant by construction, such as a
+    chi step applied to a checked s-set; every public builder validates.
+    """
+    q = object.__new__(SSet)
+    object.__setattr__(q, "s", s)
+    object.__setattr__(q, "elements", frozenset(elements))
+    return q
+
+
 def sset_to_text(q: SSet) -> str:
     return "[" + ",".join(str(a) for a in q.sorted_elements()) + "]"
 

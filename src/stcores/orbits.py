@@ -19,9 +19,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 from .abacus import (
     SSet,
+    _sset_unchecked,
     core_from_s_set,
     make_sset,
     q_set,
@@ -31,12 +33,10 @@ from .alcoves import (
     SPoint,
     fold_to_dominant,
     in_rhomboid,
-    separating_hyperplanes,
-    side_of,
     sset_of_point,
     tip,
 )
-from .affine_actions import chi_gen, chi_on_sset
+from .affine_actions import chi_on_sset
 from .errors import DomainError, check_level, check_pair
 from .partitions import Partition
 
@@ -93,7 +93,7 @@ def descend_to_t_core(lam: Partition, s: int, t: int) -> tuple[Partition, OrbitD
             if b - a > t:
                 # a + t now sits in b's residue class and vice versa
                 by_res[r_a], by_res[r_b] = b - t, a + t
-                steps.append((i, make_sset(s, by_res.values())))
+                steps.append((i, _sset_unchecked(s, by_res.values())))
                 break
         else:
             break
@@ -183,8 +183,21 @@ def containment_chain(p: SPoint, s: int, t: int) -> ContainmentChain:
     the cores along the walk grow weakly.  The count of separating walls
     drops by exactly one per step, which forces termination at the tip.
 
-    If no generator ever qualifies before the tip is reached the construction
-    itself is falsified, so that state raises rather than being patched over.
+    The wall of a generator is found in closed form.  Level-1 generator i
+    adds 1 to the coordinate x = i-1 (mod s), at position a, and subtracts 1
+    from the coordinate y = i (mod s), at position b; since y - x - 1 is a
+    multiple ks of s, the one wall it crosses is p_b - p_a = ks, with the
+    current point on its positive side.  That wall separates the point from
+    the tip exactly when tip_b - tip_a < ks.  The number of walls between a
+    point and the tip is the sum over pairs a < b of
+    |floor((tip_b - tip_a)/s) - floor((p_b - p_a)/s)|; it is computed once,
+    and each step recounts only the pairs involving a or b, so a step costs
+    O(s) besides building its core.
+
+    If no generator ever qualifies before the tip is reached, or a step
+    removes other than exactly one separating wall, or the walk ends away
+    from the tip, the construction itself is falsified, so those states
+    raise rather than being patched over.
     """
     check_pair(s, t)
     if p.s != s:
@@ -193,29 +206,40 @@ def containment_chain(p: SPoint, s: int, t: int) -> ContainmentChain:
     if not in_rhomboid(q, t):
         raise DomainError(f"{q} is not in the level-{t} rhomboid")
     target = tip(s, t)
+    goal = target.coords
+    coords = list(q.coords)
+    position = {c % s: n for n, c in enumerate(coords)}
+
+    def walls(a: int, b: int) -> int:
+        return abs((goal[b] - goal[a]) // s - (coords[b] - coords[a]) // s)
+
+    def walls_touching(a: int, b: int) -> int:
+        return walls(a, b) + sum(walls(a, n) + walls(b, n) for n in range(s) if n != a and n != b)
+
     points = [q]
     cores = [core_from_s_set(sset_of_point(q))]
     gens: list[int] = []
-    remaining = len(separating_hyperplanes(q, target))
-    while q != target:
+    remaining = sum(walls(a, b) for a, b in combinations(range(s), 2))
+    while remaining:
         for i in range(s):
-            candidate = chi_gen(i, 1, q)
-            walls = separating_hyperplanes(q, candidate)
-            if len(walls) != 1:
-                raise RuntimeError(f"generator image not adjacent: {q} -> {candidate}")
-            wall = walls[0]
-            if side_of(q, wall) != side_of(target, wall):
-                q = candidate
+            a, b = position[(i - 1) % s], position[i]
+            if goal[b] - goal[a] < coords[b] - coords[a] - 1:
                 break
         else:
             raise RuntimeError(f"no generator separates {q} from {target}; walk is stuck")
-        now_remaining = len(separating_hyperplanes(q, target))
-        if now_remaining != remaining - 1:
+        before = walls_touching(a, b)
+        coords[a] += 1
+        coords[b] -= 1
+        position[(i - 1) % s], position[i] = b, a
+        if walls_touching(a, b) != before - 1:
             raise RuntimeError("gallery walk crossed more than one separating wall")
-        remaining = now_remaining
+        remaining -= 1
+        q = SPoint(tuple(coords))
         points.append(q)
         cores.append(core_from_s_set(sset_of_point(q)))
         gens.append(i)
+    if q != target:
+        raise RuntimeError(f"gallery walk ended at {q}, not at the tip {target}")
     return ContainmentChain(points=tuple(points), cores=tuple(cores), gens=tuple(gens))
 
 

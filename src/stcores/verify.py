@@ -184,11 +184,14 @@ def suite_vandehey(s_max: int, t_max: int, seed: int, trials: int) -> list[Check
                     chain_bad.append((s, t, p))
     grid = f"coprime s < t, s <= {s_max}, t <= {t_max}"
     chain_grid = f"all rhomboid points, s <= {chain_s_max}, t <= {chain_t_max}"
+    chain_detail = f"{chain_grid}: {len(chain_bad)} failures"
+    if chain_bad:
+        chain_detail += "; first (s, t, point) = ({}, {}, {})".format(*chain_bad[0])
     return [
         ("vandehey.kane-size", not kane_bad, f"{grid}: {len(kane_bad)} failures"),
         ("vandehey.anderson-count", not count_bad, f"{grid}: {len(count_bad)} failures"),
         ("vandehey.containment", not contain_bad, f"{grid}: {len(contain_bad)} failures"),
-        ("vandehey.chains", not chain_bad, f"{chain_grid}: {len(chain_bad)} failures"),
+        ("vandehey.chains", not chain_bad, chain_detail),
     ]
 
 

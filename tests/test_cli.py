@@ -137,6 +137,28 @@ def test_verify_command(capsys):
     assert all(row["pass"] for row in json.loads(out)["result"])
 
 
+def test_verify_names_first_chain_failure(capsys, monkeypatch):
+    from stcores import orbits
+    from stcores.alcoves import rhomboid_points
+
+    real = orbits.containment_chain
+    bad = [(3, 4, rhomboid_points(3, 4)[1]), (4, 5, rhomboid_points(4, 5)[2])]
+
+    def broken(p, s, t):
+        chain = real(p, s, t)
+        if (s, t, p) in bad:  # drop the last step: the walk stops short of kappa
+            return orbits.ContainmentChain(chain.points[:-1], chain.cores[:-1], chain.gens[:-1])
+        return chain
+
+    monkeypatch.setattr(orbits, "containment_chain", broken)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "vandehey")
+    assert code != 0
+    (row,) = [line for line in out.splitlines() if "vandehey.chains" in line]
+    s, t, p = bad[0]
+    assert row.startswith("FAIL")
+    assert row.endswith(f": 2 failures; first (s, t, point) = ({s}, {t}, {p})")
+
+
 def test_verify_all_defaults_is_fast_and_green(capsys):
     import time
 

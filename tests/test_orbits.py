@@ -6,9 +6,20 @@ import pytest
 
 from conftest import brute_st_cores, st_cores_by_difference_scan
 from stcores import DomainError
-from stcores.abacus import core, is_s_core, make_sset, q_set
-from stcores.affine_actions import chi_on_core
-from stcores.alcoves import origin, point_of_sset, rhomboid_points, tip
+from stcores.abacus import core, core_from_s_set, is_s_core, make_sset, q_set
+from stcores.affine_actions import chi_gen, chi_on_core
+from stcores.alcoves import (
+    SPoint,
+    fold_to_dominant,
+    in_rhomboid,
+    origin,
+    point_of_sset,
+    rhomboid_points,
+    separating_hyperplanes,
+    side_of,
+    sset_of_point,
+    tip,
+)
 from stcores.orbits import (
     anderson_count,
     containment_chain,
@@ -202,3 +213,87 @@ def test_chains_sweep_rhomboid():
             chain = containment_chain(p, s, t)
             assert chain.cores[-1] == kap
             assert all(contains(b, a) for a, b in zip(chain.cores, chain.cores[1:]))
+
+
+def _wall_count_walk(p, s, t):
+    """Oracle for containment_chain: the gallery walk on explicit wall lists.
+
+    At each step every level-1 generator image is built, its one wall found
+    among the hyperplanes separating it from the current point, and the
+    smallest generator whose wall also separates the point from the tip is
+    taken; the separating walls to the tip are relisted after every step.
+    O(s^2 t) per candidate, so only for small s.  Returns (points, cores, gens).
+    """
+    q = fold_to_dominant(p)
+    assert in_rhomboid(q, t)
+    target = tip(s, t)
+    points = [q]
+    cores = [core_from_s_set(sset_of_point(q))]
+    gens = []
+    remaining = len(separating_hyperplanes(q, target))
+    while q != target:
+        for i in range(s):
+            candidate = chi_gen(i, 1, q)
+            walls = separating_hyperplanes(q, candidate)
+            assert len(walls) == 1
+            if side_of(q, walls[0]) != side_of(target, walls[0]):
+                q = candidate
+                break
+        else:
+            raise AssertionError(f"no generator separates {q} from {target}")
+        now_remaining = len(separating_hyperplanes(q, target))
+        assert now_remaining == remaining - 1
+        remaining = now_remaining
+        points.append(q)
+        cores.append(core_from_s_set(sset_of_point(q)))
+        gens.append(i)
+    return tuple(points), tuple(cores), tuple(gens)
+
+
+def _seeded_rhomboid_point(rng, s, t):
+    """A rhomboid point from a random residue order and gaps in [1, t] (t > s)."""
+    residues = [0] + rng.sample(range(1, s), s - 1)
+    coords = [0]
+    for a, b in zip(residues, residues[1:]):
+        coords.append(coords[-1] + rng.choice(range((b - a) % s, t + 1, s)))
+    first, rem = divmod(s * (s - 1) // 2 - sum(coords), s)
+    assert rem == 0
+    return SPoint(tuple(first + c for c in coords))
+
+
+def _assert_matches_oracle(p, s, t):
+    chain = containment_chain(p, s, t)
+    assert (chain.points, chain.cores, chain.gens) == _wall_count_walk(p, s, t), (s, t, p)
+    for k, i in enumerate(chain.gens):
+        assert chain.points[k + 1] == chi_gen(i, 1, chain.points[k])
+
+
+def test_chain_matches_wall_count_walk_on_small_rhomboids():
+    for s in range(2, 7):
+        for t in range(1, 8):
+            if math.gcd(s, t) == 1:
+                for p in rhomboid_points(s, t):
+                    _assert_matches_oracle(p, s, t)
+
+
+@pytest.mark.parametrize("s,t", [(11, 13), (13, 15)])
+def test_chain_matches_wall_count_walk_on_seeded_points(s, t):
+    rng = random.Random(f"chain:{s}:{t}")
+    for _ in range(10):
+        _assert_matches_oracle(_seeded_rhomboid_point(rng, s, t), s, t)
+
+
+def test_chain_from_origin_at_20_21():
+    s, t = 20, 21
+    goal = tip(s, t).coords
+    start = origin(s).coords
+    walls = sum(
+        abs((goal[j] - goal[i]) // s - (start[j] - start[i]) // s)
+        for i in range(s)
+        for j in range(i + 1, s)
+    )
+    chain = containment_chain(origin(s), s, t)
+    assert len(chain) == walls
+    assert chain.cores[-1] == kappa(s, t)
+    assert size(chain.cores[-1]) == (s * s - 1) * (t * t - 1) // 24
+    assert all(contains(b, a) for a, b in zip(chain.cores, chain.cores[1:]))
