@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError, check_s_set
+from .errors import MAX_SIZE, DomainError, _trusted, check_s_set
 from .partitions import Partition
 
 
@@ -64,18 +64,6 @@ class SSet:
 
 def make_sset(s: int, elements) -> SSet:
     return SSet(s, frozenset(elements))
-
-
-def _sset_unchecked(s: int, elements) -> SSet:
-    """An SSet built without check_s_set, for elements already known valid.
-
-    Only for moves that preserve the invariant by construction, such as a
-    chi step applied to a checked s-set; every public builder validates.
-    """
-    q = object.__new__(SSet)
-    object.__setattr__(q, "s", s)
-    object.__setattr__(q, "elements", frozenset(elements))
-    return q
 
 
 def sset_to_text(q: SSet) -> str:
@@ -130,12 +118,9 @@ def _partition_from_first_gaps(gaps: dict[int, int], s: int) -> Partition:
     if floor + len(beads) != 0:
         raise RuntimeError("first-gap data does not describe a charge-0 abacus")
     beads.sort(reverse=True)
-    parts = []
-    for i, b in enumerate(beads, start=1):
-        part = b + i
-        if part:
-            parts.append(part)
-    return Partition(tuple(parts))
+    # distinct beads, all above floor = -len(beads), give weakly decreasing
+    # parts b_i + i >= 1; callers bound the size
+    return _trusted(Partition, parts=tuple(b + i for i, b in enumerate(beads, start=1)))
 
 
 def core(p: Partition, s: int) -> Partition:
@@ -146,37 +131,40 @@ def core(p: Partition, s: int) -> Partition:
 
 
 def is_s_core(p: Partition, s: int) -> bool:
-    """Abacus criterion: every bead has a bead immediately above it."""
+    """Abacus size identity: repacking gives the s-core, so p is one iff nothing shrank."""
     if s < 1:
         raise DomainError("s must be a positive integer")
-    heads = [part - i for i, part in enumerate(p.parts, start=1)]
-    head_set = set(heads)
-    tail_top = -(len(heads) + 1)
-    return all(b - s in head_set or b - s <= tail_top for b in heads)
+    return _core_size(s, _packed_first_gaps(p, s).values()) == sum(p.parts)
 
 
 def q_set(p: Partition, s: int) -> SSet:
     """Q(lambda): the highest unoccupied position on each runner of an s-core."""
     if s < 2:
         raise DomainError("q_set needs s >= 2")
-    if not is_s_core(p, s):
+    elements = frozenset(_packed_first_gaps(p, s).values())
+    if _core_size(s, elements) != sum(p.parts):
         raise DomainError(f"{p} is not a {s}-core")
-    return make_sset(s, _packed_first_gaps(p, s).values())
+    # the packed first gaps of an s-core: one per runner, and charge 0 fixes the sum
+    return _trusted(SSet, s=s, elements=elements)
 
 
 def core_from_s_set(q: SSet) -> Partition:
     """The unique s-core lambda with q_set(lambda, s) = q."""
+    size = size_from_s_set(q)
+    if size > MAX_SIZE:
+        raise DomainError(f"core size {size} exceeds the 63-bit guard")
     return _partition_from_first_gaps(q.by_residue(), q.s)
 
 
 def size_from_s_set(q: SSet) -> int:
-    """|lambda| for the s-core with Q(lambda) = q, without building it.
+    """|lambda| for the s-core with Q(lambda) = q, without building it."""
+    return _core_size(q.s, q.elements)
 
-    Writing each element as r + s*c_r, the size works out to
-    (sum of squares of Q minus sum of squares of {0..s-1}) / 2s.
-    """
-    s = q.s
-    num = sum(a * a for a in q.elements) - sum(r * r for r in range(s))
+
+def _core_size(s: int, elements) -> int:
+    """Writing each element as r + s*c_r, the size of the s-core works out to
+    (sum of squares of the elements minus sum of squares of {0..s-1}) / 2s."""
+    num = sum(a * a for a in elements) - (s - 1) * s * (2 * s - 1) // 6
     if num % (2 * s):
         raise RuntimeError("inconsistent s-set size computation")
     return num // (2 * s)

@@ -11,9 +11,9 @@ there is no reduced-word machinery here.
 
 from __future__ import annotations
 
-from .abacus import SSet, core_from_s_set, make_sset, q_set
+from .abacus import SSet, core_from_s_set, q_set
 from .alcoves import SPoint
-from .errors import DomainError, check_level, check_pair
+from .errors import MAX_COORD, DomainError, _trusted, check_level, check_pair
 from .partitions import Partition
 
 Word = tuple[int, ...]
@@ -67,12 +67,12 @@ def chi_on_sset(i: int, t: int, q: SSet) -> SSet:
     _check_generator(i, s)
     r_up, r_down = _chi_residues(i, t, s)
     by_res = q.by_residue()
-    elements = set(q.elements)
-    elements.remove(by_res[r_up])
-    elements.remove(by_res[r_down])
-    elements.add(by_res[r_up] + t)
-    elements.add(by_res[r_down] - t)
-    return make_sset(s, elements)
+    a, b = by_res[r_up], by_res[r_down]
+    if a + t > MAX_COORD or b - t < -MAX_COORD:
+        # a user-supplied t can push the moved pair past the bound, and only it
+        raise DomainError("coordinate overflow beyond the 63-bit guard")
+    # chi_t: a + t and b - t trade residue classes (b = a + t mod s) and keep the sum
+    return _trusted(SSet, s=s, elements=(q.elements - {a, b}) | {a + t, b - t})
 
 
 def chi_on_core(i: int, t: int, lam: Partition, s: int) -> Partition:

@@ -12,21 +12,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
-from .abacus import SSet, make_sset
-from .errors import DomainError, check_level, check_pair, check_s_set
-
-MAX_COORD = 2**62
+from .abacus import SSet
+from .errors import DomainError, _trusted, check_level, check_pair, check_s_set
 
 
 @dataclass(frozen=True)
 class SPoint:
-    """Integer point of P^s with pairwise incongruent coordinates."""
+    """Integer point of P^s whose coordinates form an s-set."""
 
     coords: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if any(abs(c) > MAX_COORD for c in self.coords):
-            raise DomainError("coordinate overflow beyond the 63-bit guard")
         check_s_set(len(self.coords), self.coords)
 
     @property
@@ -166,15 +162,18 @@ def is_dominant(p: SPoint) -> bool:
 
 def fold_to_dominant(p: SPoint) -> SPoint:
     """Sort coordinates ascending: the dominant representative of p's s-set."""
-    return SPoint(tuple(sorted(p.coords)))
+    # a permutation of the coordinates of a checked point
+    return _trusted(SPoint, coords=tuple(sorted(p.coords)))
 
 
 def sset_of_point(p: SPoint) -> SSet:
-    return make_sset(p.s, p.coords)
+    # the coordinates of a checked point: SPoint and SSet share one contract
+    return _trusted(SSet, s=p.s, elements=frozenset(p.coords))
 
 
 def point_of_sset(q: SSet) -> SPoint:
-    return SPoint(q.sorted_elements())
+    # the elements of a checked s-set, in order
+    return _trusted(SPoint, coords=q.sorted_elements())
 
 
 def in_rhomboid(p: SPoint, t: int) -> bool:

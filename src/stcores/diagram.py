@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .abacus import core, core_from_s_set, make_sset
-from .alcoves import SPoint
+from .abacus import core, core_from_s_set
+from .alcoves import SPoint, sset_of_point
 from .errors import DomainError, check_pair
 from .partitions import Partition
 
@@ -64,26 +64,24 @@ class Alcove:
         return 2 * (self.a + self.b) + (0 if self.up else 1)
 
     def point(self) -> SPoint:
-        if self.up:
-            u, v = 3 * self.a + 1, 3 * self.b + 1
-            first = -(2 * self.a + self.b)
-        else:
-            u, v = 3 * self.a + 2, 3 * self.b + 2
-            first = -(2 * self.a + self.b + 1)
+        k = 1 if self.up else 2
+        u, v = 3 * self.a + k, 3 * self.b + k
+        first = -(2 * self.a + self.b + k - 1)
         return SPoint((first, first + u, first + u + v))
+
+    def _pixel(self, du: int, dv: int) -> tuple[int, int]:
+        """Pixel (unshifted) of the gaps (3a + du, 3b + dv)."""
+        u, v = 3 * self.a + du, 3 * self.b + dv
+        return _UX * (u - v), _UY * (u + v)
 
     def triangle(self) -> list[tuple[int, int]]:
         """Vertex pixel coordinates (unshifted)."""
-        x0 = 45 * (self.a - self.b)
-        y0 = 78 * (self.a + self.b)
         if self.up:
-            return [(x0, y0), (x0 + 45, y0 + 78), (x0 - 45, y0 + 78)]
-        return [(x0, y0 + 156), (x0 + 45, y0 + 78), (x0 - 45, y0 + 78)]
+            return [self._pixel(0, 0), self._pixel(3, 0), self._pixel(0, 3)]
+        return [self._pixel(3, 3), self._pixel(3, 0), self._pixel(0, 3)]
 
     def centroid(self) -> tuple[int, int]:
-        x0 = 45 * (self.a - self.b)
-        y0 = 78 * (self.a + self.b)
-        return (x0, y0 + 52) if self.up else (x0, y0 + 104)
+        return self._pixel(1, 1) if self.up else self._pixel(2, 2)
 
 
 def dominant_alcoves(depth: int) -> list[Alcove]:
@@ -99,7 +97,7 @@ def alcove_labels(spec: RenderSpec) -> list[tuple[Alcove, Partition]]:
     """The partition drawn in each rendered alcove."""
     labels = []
     for alc in dominant_alcoves(spec.depth):
-        lam = core_from_s_set(make_sset(3, alc.point().coords))
+        lam = core_from_s_set(sset_of_point(alc.point()))
         if spec.mode == "tcores":
             lam = core(lam, spec.t)
         labels.append((alc, lam))
@@ -125,9 +123,9 @@ def _young_rects(lam: Partition, cx: int, cy: int) -> list[str]:
 def render_svg(spec: RenderSpec) -> str:
     """The diagram as an SVG 1.1 document (a pure function of spec)."""
     labels = alcove_labels(spec)
-    half = 45 * ((spec.depth - 1) // 2 + 1)
+    half = 3 * _UX * ((spec.depth - 1) // 2 + 1)
     shift_x = half + _MARGIN
-    height = 78 * ((spec.depth - 1) // 2 + 2) + 2 * _MARGIN
+    height = 3 * _UY * ((spec.depth - 1) // 2 + 2) + 2 * _MARGIN
     width = 2 * half + 2 * _MARGIN
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',

@@ -1,4 +1,4 @@
-"""Shared exception type and the input contract.
+"""Shared exception type, the input contract and the check policy.
 
 Everything a caller can trigger with bad input (malformed text, a pair that
 is not coprime, a partition that is not an s-core, ...) raises DomainError.
@@ -6,9 +6,17 @@ Internal impossibilities raise RuntimeError and are never caught.
 
 Every level-t statement assumes s >= 2, t >= 1 and gcd(s, t) = 1; the
 checks below are the only place that contract is spelled out.
+
+Values are checked once, where they enter; values derived from checked ones
+by a move that keeps the contract are built with ``_trusted``.
 """
 
 import math
+
+# Sizes and coordinates are kept inside 63-bit signed range so that results
+# stay comparable with any fixed-width reimplementation of the text formats.
+MAX_SIZE = 2**62 - 1
+MAX_COORD = 2**62
 
 
 class DomainError(ValueError):
@@ -31,7 +39,10 @@ def check_pair(s: int, t: int) -> None:
 
 
 def check_s_set(s: int, elements) -> None:
-    """s >= 2 integers, pairwise incongruent mod s, summing to s(s-1)/2."""
+    """The contract of both SSet and SPoint: s >= 2 integers within MAX_COORD,
+    pairwise incongruent mod s, summing to s(s-1)/2."""
+    if any(abs(a) > MAX_COORD for a in elements):
+        raise DomainError("coordinate overflow beyond the 63-bit guard")
     if s < 2:
         raise DomainError(f"need s >= 2, got {s}")
     if len(elements) != s:
@@ -40,3 +51,12 @@ def check_s_set(s: int, elements) -> None:
         raise DomainError(f"elements must be pairwise incongruent mod {s}")
     if sum(elements) != s * (s - 1) // 2:
         raise DomainError("elements must sum to s(s-1)/2")
+
+
+def _trusted(cls, **fields):
+    """cls(**fields) without its __post_init__ check, for values derived from
+    checked ones by a move that keeps cls's contract; each caller names it."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj

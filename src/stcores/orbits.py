@@ -21,14 +21,7 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from .abacus import (
-    SSet,
-    _sset_unchecked,
-    core_from_s_set,
-    make_sset,
-    q_set,
-    size_from_s_set,
-)
+from .abacus import SSet, core_from_s_set, q_set, size_from_s_set
 from .alcoves import (
     SPoint,
     fold_to_dominant,
@@ -37,7 +30,7 @@ from .alcoves import (
     tip,
 )
 from .affine_actions import chi_on_sset
-from .errors import DomainError, check_level, check_pair
+from .errors import DomainError, _trusted, check_level, check_pair
 from .partitions import Partition
 
 
@@ -58,8 +51,6 @@ def _sumsq(q: SSet) -> int:
 class OrbitDescentTrace:
     """Record of a greedy descent: generator applied and s-set after each step."""
 
-    initial: Partition
-    final: Partition
     initial_sset: SSet
     steps: tuple[tuple[int, SSet], ...]
 
@@ -82,7 +73,8 @@ def descend_to_t_core(lam: Partition, s: int, t: int) -> tuple[Partition, OrbitD
     """
     check_pair(s, t)
     q = q_set(lam, s)  # validates that lam is an s-core
-    by_res = dict(q.by_residue())
+    by_res = q.by_residue()
+    current = q
     steps: list[tuple[int, SSet]] = []
     while True:
         for i in range(s):
@@ -91,14 +83,14 @@ def descend_to_t_core(lam: Partition, s: int, t: int) -> tuple[Partition, OrbitD
             a = by_res[r_a]
             b = by_res[r_b]
             if b - a > t:
-                # a + t now sits in b's residue class and vice versa
+                # a chi_t move: a + t and b - t trade classes, keep the sum, lie between a and b
                 by_res[r_a], by_res[r_b] = b - t, a + t
-                steps.append((i, _sset_unchecked(s, by_res.values())))
+                current = _trusted(SSet, s=s, elements=frozenset(by_res.values()))
+                steps.append((i, current))
                 break
         else:
             break
-    nu = core_from_s_set(make_sset(s, by_res.values()))
-    return nu, OrbitDescentTrace(initial=lam, final=nu, initial_sset=q, steps=tuple(steps))
+    return core_from_s_set(current), OrbitDescentTrace(initial_sset=q, steps=tuple(steps))
 
 
 def same_level_t_orbit(lam: Partition, mu: Partition, s: int, t: int) -> bool:
@@ -156,7 +148,9 @@ def count_st_cores(s: int, t: int) -> int:
 
 def enumerate_st_cores(s: int, t: int) -> list[Partition]:
     """All (s,t)-cores, sorted by (size, parts)."""
-    cores = [core_from_s_set(make_sset(s, els)) for els in _iter_st_core_ssets(s, t)]
+    # b_j = -tj mod s are s distinct classes, and b_0 is chosen to fix the sum
+    ssets = (_trusted(SSet, s=s, elements=frozenset(els)) for els in _iter_st_core_ssets(s, t))
+    cores = [core_from_s_set(q) for q in ssets]
     cores.sort(key=lambda p: (sum(p.parts), p.parts))
     return cores
 
@@ -234,7 +228,8 @@ def containment_chain(p: SPoint, s: int, t: int) -> ContainmentChain:
         if walls_touching(a, b) != before - 1:
             raise RuntimeError("gallery walk crossed more than one separating wall")
         remaining -= 1
-        q = SPoint(tuple(coords))
+        # chi_1 keeps classes and sum; at most wall-count unit moves keep the bound
+        q = _trusted(SPoint, coords=tuple(coords))
         points.append(q)
         cores.append(core_from_s_set(sset_of_point(q)))
         gens.append(i)
@@ -265,18 +260,15 @@ def level_orbit_up_to_size(s: int, t: int, max_size: int, start: Partition = Par
     connects to the minimiser through cores of size <= n.
     """
     start_q = q_set(start, s)
-    seen = {start_q.elements: size_from_s_set(start_q)}
+    seen = {start_q.elements: start_q}
     frontier = [start_q]
     while frontier:
         next_frontier = []
         for q in frontier:
             for i in range(s):
                 nq = chi_on_sset(i, t, q)
-                if nq.elements in seen:
-                    continue
-                sz = size_from_s_set(nq)
-                if sz <= max_size:
-                    seen[nq.elements] = sz
+                if nq.elements not in seen and size_from_s_set(nq) <= max_size:
+                    seen[nq.elements] = nq
                     next_frontier.append(nq)
         frontier = next_frontier
-    return {core_from_s_set(make_sset(s, els)) for els in seen}
+    return {core_from_s_set(q) for q in seen.values()}

@@ -16,11 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
-from .errors import DomainError
-
-# Sizes and coordinates are kept inside 63-bit signed range so that results
-# stay comparable with any fixed-width reimplementation of the text formats.
-MAX_SIZE = 2**62 - 1
+from .errors import MAX_SIZE, DomainError
 
 
 class Box(NamedTuple):

@@ -117,10 +117,23 @@ def test_exit_codes(capsys):
         (["act", "chi", "--t", "6", "(0,1,2)"], 2),
         (["verify", "--trials", "-5"], 1),
         (["verify", "--trials", "0"], 1),
+        (["chain", "--s", "4", "--t", "5", "(0,1,2)"], 2),
+        (["act", "psi", "--t", "1", "0,1,2"], 2),
+        (["act", "psi", "--t", "1", "(0,x,2)"], 2),
+        (["diagram", "--s", "3", "--mode", "tcores", "--depth", "2"], 2),
+        (["core", "--s", "0", "1"], 2),
+        (["qset", "--s", "1", "1"], 2),
     ]:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (expected, ""), argv
         assert err.startswith("stcores") and len(err.splitlines()) == 1, argv
+
+
+def test_diagram_without_out_prints_the_svg(capsys):
+    from stcores.diagram import RenderSpec, render_svg
+
+    code, out, err = run_cli(capsys, "diagram", "--s", "3", "--depth", "1")
+    assert (code, out, err) == (0, render_svg(RenderSpec(s=3, depth=1, mode="cores")), "")
 
 
 def test_verify_command(capsys):
@@ -227,3 +240,16 @@ def test_small_and_invalid_parameters_exit_cleanly(argv):
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
     assert code in (0, 1, 2, 3), argv
+
+
+def test_oversize_kappa_is_refused_before_building_it(capsys):
+    """Kane's size for (200000, 200001) is about 6.7e19 > 2^62: exit 2 at once."""
+    previous = signal.signal(signal.SIGALRM, _on_alarm)
+    signal.alarm(10)
+    try:
+        code, out, err = run_cli(capsys, "kappa", "--s", "200000", "--t", "200001")
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert (code, out) == (2, "")
+    assert err.startswith("stcores:") and len(err.splitlines()) == 1
