@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import MAX_SIZE, DomainError, _trusted, check_s_set
+from .errors import DomainError, _trusted, check_s_set, check_span
 from .partitions import Partition
 
 
@@ -98,6 +98,7 @@ def _packed_first_gaps(p: Partition, s: int) -> dict[int, int]:
     the boundary is recovered from the bead count: (top tail position on the
     runner) + s * (heads on the runner + 1).
     """
+    check_span(s - 1)  # s first gaps in distinct classes span at least s - 1
     heads = [part - i for i, part in enumerate(p.parts, start=1)]
     n = len(heads)
     counts = [0] * s
@@ -114,12 +115,11 @@ def _packed_first_gaps(p: Partition, s: int) -> dict[int, int]:
 def _partition_from_first_gaps(gaps: dict[int, int], s: int) -> Partition:
     """Rebuild the partition whose packed abacus has the given first gaps."""
     floor = min(gaps.values())
-    beads = [x for x in range(floor, max(gaps.values())) if x < gaps[x % s]]
+    beads = [x for x in range(max(gaps.values()) - 1, floor - 1, -1) if x < gaps[x % s]]
     if floor + len(beads) != 0:
         raise RuntimeError("first-gap data does not describe a charge-0 abacus")
-    beads.sort(reverse=True)
-    # distinct beads, all above floor = -len(beads), give weakly decreasing
-    # parts b_i + i >= 1; callers bound the size
+    # scanned downward, the distinct beads above floor = -len(beads) give weakly
+    # decreasing parts b_i + i >= 1; callers bound the span, hence the size
     return _trusted(Partition, parts=tuple(b + i for i, b in enumerate(beads, start=1)))
 
 
@@ -150,9 +150,7 @@ def q_set(p: Partition, s: int) -> SSet:
 
 def core_from_s_set(q: SSet) -> Partition:
     """The unique s-core lambda with q_set(lambda, s) = q."""
-    size = size_from_s_set(q)
-    if size > MAX_SIZE:
-        raise DomainError(f"core size {size} exceeds the 63-bit guard")
+    check_span(max(q.elements) - min(q.elements))
     return _partition_from_first_gaps(q.by_residue(), q.s)
 
 

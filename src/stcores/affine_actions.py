@@ -41,9 +41,11 @@ def psi_gen(i: int, t: int, p: SPoint) -> SPoint:
     return SPoint(tuple(coords))
 
 
-def _chi_residues(i: int, t: int, s: int) -> tuple[int, int]:
-    check_pair(s, t)
-    return ((i - 1) * t) % s, (i * t) % s
+def _t_cycle(elements, s: int, t: int) -> list[int]:
+    """An s-set listed along the classes 0, t, ..., (s-1)t mod s, for gcd(s, t) = 1:
+    generator i of chi_t moves t from entry i-1 to entry i, and index -1 wraps."""
+    by_res = {a % s: a for a in elements}
+    return [by_res[k * t % s] for k in range(s)]
 
 
 def chi_gen(i: int, t: int, p: SPoint) -> SPoint:
@@ -51,7 +53,8 @@ def chi_gen(i: int, t: int, p: SPoint) -> SPoint:
     congruent to (i-1)t mod s and subtract t from the one congruent to it."""
     s = p.s
     _check_generator(i, s)
-    r_up, r_down = _chi_residues(i, t, s)
+    check_pair(s, t)
+    r_up, r_down = (i - 1) * t % s, i * t % s
     coords = list(p.coords)
     for idx, c in enumerate(coords):
         if c % s == r_up:
@@ -65,9 +68,9 @@ def chi_on_sset(i: int, t: int, q: SSet) -> SSet:
     """chi_t transported through forgetting coordinate order."""
     s = q.s
     _check_generator(i, s)
-    r_up, r_down = _chi_residues(i, t, s)
-    by_res = q.by_residue()
-    a, b = by_res[r_up], by_res[r_down]
+    check_pair(s, t)
+    cycle = _t_cycle(q.elements, s, t)
+    a, b = cycle[i - 1], cycle[i]
     if a + t > MAX_COORD or b - t < -MAX_COORD:
         # a user-supplied t can push the moved pair past the bound, and only it
         raise DomainError("coordinate overflow beyond the 63-bit guard")

@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from .abacus import SSet
-from .errors import DomainError, _trusted, check_level, check_pair, check_s_set
+from .errors import DomainError, _trusted, check_level, check_pair, check_s_set, check_span
 
 
 @dataclass(frozen=True)
@@ -187,6 +187,7 @@ def in_rhomboid(p: SPoint, t: int) -> bool:
 def tip(s: int, t: int) -> SPoint:
     """The vertex of R^s_t opposite the origin: gaps all equal to t."""
     check_pair(s, t)
+    check_span((s - 1) * t)
     coords = []
     for i in range(1, s + 1):
         num = s - 1 + t * (2 * i - 1 - s)

@@ -17,6 +17,11 @@ import math
 # stay comparable with any fixed-width reimplementation of the text formats.
 MAX_SIZE = 2**62 - 1
 MAX_COORD = 2**62
+# Laying out s runners, or rebuilding a core from its first gaps, scans every
+# abacus position between the lowest and the highest gap; capping that span
+# bounds the time and the memory.  A core of span n has fewer than n parts,
+# each below n, so the cap also keeps its size below 10**14 < MAX_SIZE.
+MAX_SPAN = 10**7
 
 
 class DomainError(ValueError):
@@ -36,6 +41,12 @@ def check_pair(s: int, t: int) -> None:
     check_level(t)
     if math.gcd(s, t) != 1:
         raise DomainError(f"({s}, {t}) must be coprime")
+
+
+def check_span(span: int) -> None:
+    """An abacus layout that scans at most MAX_SPAN positions."""
+    if span > MAX_SPAN:
+        raise DomainError(f"abacus span of {span} positions exceeds the cap of {MAX_SPAN}")
 
 
 def check_s_set(s: int, elements) -> None:

@@ -29,7 +29,7 @@ from .alcoves import (
     sset_of_point,
     tip,
 )
-from .affine_actions import chi_on_sset
+from .affine_actions import _check_generator, _t_cycle, chi_on_sset
 from .errors import DomainError, _trusted, check_level, check_pair
 from .partitions import Partition
 
@@ -65,32 +65,28 @@ def descend_to_t_core(lam: Partition, s: int, t: int) -> tuple[Partition, OrbitD
     """Greedy orbit descent to the unique sum-of-squares minimiser.
 
     While some generator strictly decreases the sum of squares, apply the
-    smallest such index.  Applying generator i moves t between the elements
-    a = (i-1)t and b = it mod s, changing the sum by 2t(a - b + t); it is an
-    improvement exactly when b - a > t.  On termination no pair violates the
-    bead-closure condition for t, so the result is a t-core, and it equals
-    the t-core of lam because every step preserves it.
+    smallest such index.  Generator i moves t between the t-cycle neighbours
+    a = cycle[i-1] and b = cycle[i], changing the sum by 2t(a - b + t); it is
+    an improvement exactly when b - a > t.  On termination no pair violates
+    the bead-closure condition for t, so the result is a t-core, and it
+    equals the t-core of lam because every step preserves it.
     """
     check_pair(s, t)
     q = q_set(lam, s)  # validates that lam is an s-core
-    by_res = q.by_residue()
-    current = q
+    cycle = _t_cycle(q.elements, s, t)
     steps: list[tuple[int, SSet]] = []
     while True:
         for i in range(s):
-            r_a = ((i - 1) * t) % s
-            r_b = (i * t) % s
-            a = by_res[r_a]
-            b = by_res[r_b]
+            a, b = cycle[i - 1], cycle[i]
             if b - a > t:
                 # a chi_t move: a + t and b - t trade classes, keep the sum, lie between a and b
-                by_res[r_a], by_res[r_b] = b - t, a + t
-                current = _trusted(SSet, s=s, elements=frozenset(by_res.values()))
-                steps.append((i, current))
+                cycle[i - 1], cycle[i] = b - t, a + t
+                steps.append((i, _trusted(SSet, s=s, elements=frozenset(cycle))))
                 break
         else:
             break
-    return core_from_s_set(current), OrbitDescentTrace(initial_sset=q, steps=tuple(steps))
+    final = steps[-1][1] if steps else q
+    return core_from_s_set(final), OrbitDescentTrace(initial_sset=q, steps=tuple(steps))
 
 
 def same_level_t_orbit(lam: Partition, mu: Partition, s: int, t: int) -> bool:
@@ -245,10 +241,9 @@ def lemma53_check(lam: Partition, i: int, s: int) -> bool:
     predicate is b <= a + 1; whenever it holds the generator's image contains
     lambda.
     """
-    by_res = q_set(lam, s).by_residue()
-    a = by_res[(i - 1) % s]
-    b = by_res[i % s]
-    return b <= a + 1
+    _check_generator(i, s)
+    cycle = _t_cycle(q_set(lam, s).elements, s, 1)
+    return cycle[i] <= cycle[i - 1] + 1
 
 
 def level_orbit_up_to_size(s: int, t: int, max_size: int, start: Partition = Partition()) -> set[Partition]:

@@ -88,12 +88,12 @@ def suite_actions(s_max: int, t_max: int, seed: int, trials: int) -> list[Check]
     fails = {"psi": 0, "chi": 0, "commute": 0, "agree": 0, "adjacent": 0}
     n_points = 0
     for s in range(2, s_max + 1):
+        for i in range(s):
+            if alcove_key(act.psi_gen(i, 1, origin(s))) != alcove_key(act.chi_gen(i, 1, origin(s))):
+                fails["agree"] += 1
         for t in _coprime_ts(s):
             if t > t_max:
                 continue
-            for i in range(s):
-                if alcove_key(act.psi_gen(i, 1, origin(s))) != alcove_key(act.chi_gen(i, 1, origin(s))):
-                    fails["agree"] += 1
             for _ in range(max(1, trials // 10)):
                 p = random_s_point(rng, s)
                 n_points += 1

@@ -3,6 +3,7 @@ import json
 import signal
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from stcores import cli
@@ -248,6 +249,28 @@ def test_oversize_kappa_is_refused_before_building_it(capsys):
     signal.alarm(10)
     try:
         code, out, err = run_cli(capsys, "kappa", "--s", "200000", "--t", "200001")
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert (code, out) == (2, "")
+    assert err.startswith("stcores:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kappa", "--s", "30000", "--t", "30001"],  # tip span 9e8, Kane size 3.4e16 < 2^62
+        ["kappa", "--s", "100000000", "--t", "1"],  # tip span 1e8, empty core
+        ["core", "--s", "1000000000", "1"],  # 1e9 runners
+    ],
+    ids=" ".join,
+)
+def test_over_span_inputs_are_refused_up_front(capsys, argv):
+    """The abacus span cap refuses these before any runner is laid out."""
+    previous = signal.signal(signal.SIGALRM, _on_alarm)
+    signal.alarm(10)
+    try:
+        code, out, err = run_cli(capsys, *argv)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)

@@ -28,6 +28,8 @@ BOUNDARY_CASES = {
     "make_sset_beyond_63_bits": lambda: make_sset(2, (2**63, 1 - 2**63)),
     # Kane-style size formula: refused before any part is built
     "core_from_s_set_beyond_63_bits": lambda: core_from_s_set(make_sset(2, (2**32, 1 - 2**32))),
+    # size 5e15 is under 2^62, but the rebuild would scan 2e8 abacus positions
+    "core_from_s_set_beyond_span_cap": lambda: core_from_s_set(make_sset(2, (-10**8, 10**8 + 1))),
 }
 
 

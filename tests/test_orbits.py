@@ -6,8 +6,8 @@ import pytest
 
 from conftest import brute_st_cores, st_cores_by_difference_scan
 from stcores import DomainError
-from stcores.abacus import core, core_from_s_set, is_s_core, make_sset, q_set
-from stcores.affine_actions import chi_gen, chi_on_core
+from stcores.abacus import core, core_from_s_set, is_s_core, make_sset, q_set, size_from_s_set
+from stcores.affine_actions import chi_gen, chi_on_core, chi_on_sset
 from stcores.alcoves import (
     SPoint,
     fold_to_dominant,
@@ -33,7 +33,7 @@ from stcores.orbits import (
     same_level_t_orbit,
 )
 from stcores.partitions import Partition, contains, is_s_core_by_hooks, partitions_up_to, size
-from stcores.verify import random_s_core
+from stcores.verify import random_s_core, random_s_point
 
 
 def P(*parts):
@@ -88,6 +88,34 @@ def test_descent_matches_abacus_and_decreases():
 
         assert in_rhomboid(final_point, t)
         assert is_s_core(nu, s) and is_s_core(nu, t)
+
+
+def _improving_gens(q, t):
+    """Generators whose chi_t image has a smaller sum of squares than q."""
+    sumsq = sum(a * a for a in q.elements)
+    return [i for i in range(q.s) if sum(a * a for a in chi_on_sset(i, t, q).elements) < sumsq]
+
+
+def test_descent_steps_are_the_smallest_improving_chi_t_moves():
+    """Each step is chi_t by the smallest generator that lowers the sum of squares,
+    and the descent stops where no generator does."""
+    rng = random.Random(14)
+    checked = 0
+    while checked < 300:
+        s = rng.randint(2, 7)
+        t = rng.choice([t for t in range(1, 10) if math.gcd(s, t) == 1])
+        q = make_sset(s, random_s_point(rng, s, rng.randint(1, 12)).coords)
+        if size_from_s_set(q) > 2000:
+            continue
+        checked += 1
+        _, trace = descend_to_t_core(core_from_s_set(q), s, t)
+        assert trace.initial_sset == q
+        previous = q
+        for gen, current in trace.steps:
+            assert gen == _improving_gens(previous, t)[0]
+            assert current == chi_on_sset(gen, t, previous)
+            previous = current
+        assert _improving_gens(previous, t) == []
 
 
 def test_same_level_t_orbit_examples():
@@ -182,6 +210,11 @@ def test_lemma53_examples():
             assert contains(chi_on_core(i, 1, P(), s), P())
     # golden instance: lambda = (1), s = 3, i = 0 has a = -1, b = 3
     assert not lemma53_check(P(1), 0, 3)
+    # generator indices run over 0..s-1, as for chi_on_core
+    with pytest.raises(DomainError):
+        lemma53_check(P(), 3, 3)
+    with pytest.raises(DomainError):
+        lemma53_check(P(), -1, 3)
 
 
 def test_lemma53_predicate_implies_containment():
