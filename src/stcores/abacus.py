@@ -14,6 +14,7 @@ sliding preserves per-runner bead counts above any fixed floor.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
 from .errors import DomainError, _trusted, check_s_set, check_span
 from .partitions import Partition
@@ -55,9 +56,6 @@ class SSet:
     def sorted_elements(self) -> tuple[int, ...]:
         return tuple(sorted(self.elements))
 
-    def by_residue(self) -> dict[int, int]:
-        return {a % self.s: a for a in self.elements}
-
     def __str__(self) -> str:
         return sset_to_text(self)
 
@@ -91,57 +89,54 @@ def partition_from_beta_set(b: BetaSet) -> Partition:
     return Partition(tuple(head + i for i, head in enumerate(b.heads, start=1)))
 
 
-def _packed_first_gaps(p: Partition, s: int) -> dict[int, int]:
+def _packed_first_gaps(p: Partition, s: int) -> list[int]:
     """First gap per runner after packing all beads upwards.
 
     On runner r the packed beads occupy every position below some boundary;
     the boundary is recovered from the bead count: (top tail position on the
     runner) + s * (heads on the runner + 1).
     """
+    if s < 1:
+        raise DomainError("s must be a positive integer")
     check_span(s - 1)  # s first gaps in distinct classes span at least s - 1
     heads = [part - i for i, part in enumerate(p.parts, start=1)]
-    n = len(heads)
     counts = [0] * s
     for b in heads:
         counts[b % s] += 1
-    top = -(n + 1)
-    gaps = {}
-    for r in range(s):
-        tail_top = top - ((top - r) % s)
-        gaps[r] = tail_top + s * (counts[r] + 1)
-    return gaps
+    top = -(len(heads) + 1)
+    return [top - ((top - r) % s) + s * (counts[r] + 1) for r in range(s)]
 
 
-def _partition_from_first_gaps(gaps: dict[int, int], s: int) -> Partition:
-    """Rebuild the partition whose packed abacus has the given first gaps."""
-    floor = min(gaps.values())
-    beads = [x for x in range(max(gaps.values()) - 1, floor - 1, -1) if x < gaps[x % s]]
+def _partition_from_first_gaps(gaps, s: int) -> Partition:
+    """Rebuild the partition whose packed abacus has the given first gaps (any
+    collection of s, one per class), collecting its beads runner by runner."""
+    floor = min(gaps)
+    beads = []
+    for g in gaps:
+        beads += range(g - s, floor - 1, -s)
     if floor + len(beads) != 0:
         raise RuntimeError("first-gap data does not describe a charge-0 abacus")
-    # scanned downward, the distinct beads above floor = -len(beads) give weakly
-    # decreasing parts b_i + i >= 1; callers bound the span, hence the size
-    return _trusted(Partition, parts=tuple(b + i for i, b in enumerate(beads, start=1)))
+    beads.sort(reverse=True)
+    # the distinct beads above floor = -len(beads) give weakly decreasing
+    # parts b_i + i >= 1; callers bound the span, hence the size
+    return _trusted(Partition, parts=tuple(map(add, beads, range(1, len(beads) + 1))))
 
 
 def core(p: Partition, s: int) -> Partition:
     """The s-core, by per-runner bead repacking."""
-    if s < 1:
-        raise DomainError("s must be a positive integer")
     return _partition_from_first_gaps(_packed_first_gaps(p, s), s)
 
 
 def is_s_core(p: Partition, s: int) -> bool:
     """Abacus size identity: repacking gives the s-core, so p is one iff nothing shrank."""
-    if s < 1:
-        raise DomainError("s must be a positive integer")
-    return _core_size(s, _packed_first_gaps(p, s).values()) == sum(p.parts)
+    return _core_size(s, _packed_first_gaps(p, s)) == sum(p.parts)
 
 
 def q_set(p: Partition, s: int) -> SSet:
     """Q(lambda): the highest unoccupied position on each runner of an s-core."""
     if s < 2:
         raise DomainError("q_set needs s >= 2")
-    elements = frozenset(_packed_first_gaps(p, s).values())
+    elements = frozenset(_packed_first_gaps(p, s))
     if _core_size(s, elements) != sum(p.parts):
         raise DomainError(f"{p} is not a {s}-core")
     # the packed first gaps of an s-core: one per runner, and charge 0 fixes the sum
@@ -151,7 +146,7 @@ def q_set(p: Partition, s: int) -> SSet:
 def core_from_s_set(q: SSet) -> Partition:
     """The unique s-core lambda with q_set(lambda, s) = q."""
     check_span(max(q.elements) - min(q.elements))
-    return _partition_from_first_gaps(q.by_residue(), q.s)
+    return _partition_from_first_gaps(q.elements, q.s)
 
 
 def size_from_s_set(q: SSet) -> int:

@@ -22,6 +22,9 @@ MAX_COORD = 2**62
 # bounds the time and the memory.  A core of span n has fewer than n parts,
 # each below n, so the cap also keeps its size below 10**14 < MAX_SIZE.
 MAX_SPAN = 10**7
+# Listing (s,t)-cores draws s-1 entries for each of C(s+t-1, s-1) candidates
+# and lays out fewer than (s-1)t beads for each core; both counts are capped.
+MAX_SCAN = 10**7
 
 
 class DomainError(ValueError):
@@ -47,6 +50,12 @@ def check_span(span: int) -> None:
     """An abacus layout that scans at most MAX_SPAN positions."""
     if span > MAX_SPAN:
         raise DomainError(f"abacus span of {span} positions exceeds the cap of {MAX_SPAN}")
+
+
+def check_scan(work: int) -> None:
+    """A rhomboid scan, or a rebuild of its cores, of at most MAX_SCAN steps."""
+    if work > MAX_SCAN:
+        raise DomainError(f"enumeration of {work} steps exceeds the cap of {MAX_SCAN}")
 
 
 def check_s_set(s: int, elements) -> None:

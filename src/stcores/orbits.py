@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
-from .abacus import SSet, core_from_s_set, q_set, size_from_s_set
+from .abacus import SSet, _partition_from_first_gaps, core_from_s_set, q_set, size_from_s_set
 from .alcoves import (
     SPoint,
     fold_to_dominant,
@@ -30,7 +30,7 @@ from .alcoves import (
     tip,
 )
 from .affine_actions import _check_generator, _t_cycle, chi_on_sset
-from .errors import DomainError, _trusted, check_level, check_pair
+from .errors import DomainError, _trusted, check_level, check_pair, check_scan, check_span
 from .partitions import Partition
 
 
@@ -109,32 +109,27 @@ def anderson_count(s: int, t: int) -> int:
 
 
 def _iter_st_core_ssets(s: int, t: int):
-    """Yield the s-set of every (s,t)-core exactly once.
+    """The elements of the s-set of every (s,t)-core, each once, lazily; the
+    checks run on the call.
 
-    Walk the rhomboid by runner gaps rather than coordinate gaps: listing the
-    elements of an s-set as b_0, ..., b_{s-1} with b_j in residue class
-    -tj mod s, the underlying core is a t-core iff every cyclic step
-    satisfies b_j >= b_{j-1} - t, i.e. b_j = b_{j-1} - t + (non-negative
-    multiple of s).  Scanning the non-negative step multipliers m_1..m_{s-1}
-    with sum at most t determines b_0 from the fixed total, and the choice is
-    an s-set exactly when b_0 lands in residue class 0.
+    With b_j in class -tj mod s, the core of {b_0, ..., b_{s-1}} is a t-core
+    iff each cyclic step has b_j >= b_{j-1} - t, i.e. b_j = b_0 - tj + s*p_j
+    with 0 <= p_1 <= ... <= p_{s-1} <= t: the C(s+t-1, s-1) multisets of
+    size s-1 from {0..t}.  The fixed sum gives b_0 = (s-1)(1+t)/2 - sum(p),
+    an s-set exactly when b_0 = 0 mod s: one candidate in s (Anderson).
     """
     check_pair(s, t)
-    base = (s - 1) * (1 + t) // 2  # b_0 for the all-zero multiplier vector
-
-    def scan(j: int, budget: int, prefix_sum: int, sum_of_prefix_sums: int, b_rel: list[int]):
-        if j == s:
-            b0 = base - sum_of_prefix_sums
-            if b0 % s == 0:
-                yield [b0 + rel for rel in b_rel]
-            return
-        for m in range(budget + 1):
-            p = prefix_sum + m
-            b_rel.append(-t * j + s * p)
-            yield from scan(j + 1, budget - m, p, sum_of_prefix_sums + p, b_rel)
-            b_rel.pop()
-
-    yield from scan(1, t, 0, 0, [0])
+    # every (s,t)-core's s-set lies in the rhomboid, of span at most (s-1)t;
+    # capping it also keeps min(s-1, t), hence the binomial's cost, small
+    check_span((s - 1) * t)
+    check_scan(math.comb(s + t - 1, s - 1) * (s - 1))  # s-1 entries per candidate
+    base = (s - 1) * (1 + t) // 2
+    shifts = range(-t, -t * s, -t)  # -tj for j = 1..s-1
+    return (
+        [b0, *[b0 + shift + s * pj for shift, pj in zip(shifts, p)]]
+        for p in combinations_with_replacement(range(t + 1), s - 1)
+        if (b0 := base - sum(p)) % s == 0
+    )
 
 
 def count_st_cores(s: int, t: int) -> int:
@@ -144,9 +139,10 @@ def count_st_cores(s: int, t: int) -> int:
 
 def enumerate_st_cores(s: int, t: int) -> list[Partition]:
     """All (s,t)-cores, sorted by (size, parts)."""
-    # b_j = -tj mod s are s distinct classes, and b_0 is chosen to fix the sum
-    ssets = (_trusted(SSet, s=s, elements=frozenset(els)) for els in _iter_st_core_ssets(s, t))
-    cores = [core_from_s_set(q) for q in ssets]
+    ssets = _iter_st_core_ssets(s, t)  # checks the pair, the span and the scan
+    # each core is rebuilt from fewer beads than its span, at most (s-1)t
+    check_scan(anderson_count(s, t) * (s - 1) * t)
+    cores = [_partition_from_first_gaps(els, s) for els in ssets]
     cores.sort(key=lambda p: (sum(p.parts), p.parts))
     return cores
 

@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, strategies as st
 from stcores import DomainError
 from stcores.abacus import (
     BetaSet,
+    _packed_first_gaps,
     beta_set,
     core,
     core_from_s_set,
@@ -119,6 +121,40 @@ def test_all_small_ssets_round_trip(s):
         assert size_from_s_set(q) == size(lam)
         count += 1
     assert count > 10  # the scan is not vacuous
+
+
+def _position_scan_core(gaps, s):
+    """Oracle for the core builder: test every abacus position between the
+    lowest and the highest first gap, from the top down, for a bead."""
+    by_residue = {g % s: g for g in gaps}
+    floor = min(gaps)
+    beads = [x for x in range(max(gaps) - 1, floor - 1, -1) if x < by_residue[x % s]]
+    assert floor + len(beads) == 0
+    return Partition(tuple(b + i for i, b in enumerate(beads, start=1)))
+
+
+def _seeded_ssets():
+    """s-sets r + s*c_r (sum of c_r = 0) for s = 2..13, from 0 to about 10^6 boxes."""
+    rng = random.Random("builder")
+    for s in range(2, 14):
+        for k in (0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512):
+            c = [rng.randint(-k, k) for _ in range(s - 1)]
+            c.append(-sum(c))
+            q = make_sset(s, [r + s * c_r for r, c_r in enumerate(c)])
+            if size_from_s_set(q) <= 2 * 10**6:
+                yield q
+
+
+def test_builder_matches_position_scan():
+    sizes = []
+    for q in _seeded_ssets():
+        s = q.s
+        lam = core_from_s_set(q)
+        assert lam == _position_scan_core(q.elements, s), q
+        sizes.append(size(lam))
+        # lam is an s-core but in general not an (s+1)-core
+        assert core(lam, s + 1) == _position_scan_core(_packed_first_gaps(lam, s + 1), s + 1)
+    assert min(sizes) == 0 and max(sizes) > 10**6
 
 
 @given(partition_parts, st.integers(2, 6))

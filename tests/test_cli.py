@@ -276,3 +276,20 @@ def test_over_span_inputs_are_refused_up_front(capsys, argv):
         signal.signal(signal.SIGALRM, previous)
     assert (code, out) == (2, "")
     assert err.startswith("stcores:") and len(err.splitlines()) == 1
+
+
+def test_enumerate_is_iterative_and_capped(capsys):
+    """(2000, 1) has one core, the empty one, and a scan 1999 runners deep;
+    (30, 31) would scan C(60, 29) candidates and is refused up front."""
+    previous = signal.signal(signal.SIGALRM, _on_alarm)
+    signal.alarm(10)
+    try:
+        one = run_cli(capsys, "enumerate", "--s", "2000", "--t", "1")
+        refused = run_cli(capsys, "enumerate", "--s", "30", "--t", "31")
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert one == (0, "\n", "")
+    code, out, err = refused
+    assert (code, out) == (2, "")
+    assert err.startswith("stcores:") and len(err.splitlines()) == 1

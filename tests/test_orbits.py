@@ -21,6 +21,7 @@ from stcores.alcoves import (
     tip,
 )
 from stcores.orbits import (
+    _iter_st_core_ssets,
     anderson_count,
     containment_chain,
     count_st_cores,
@@ -167,6 +168,50 @@ def test_enumerate_against_both_oracles(s, t):
     assert fast == brute_st_cores(s, t)
     assert fast == st_cores_by_difference_scan(s, t)
     assert len(fast) == anderson_count(s, t)
+
+
+def _runner_gap_scan(s, t):
+    """Oracle for the rhomboid scan: the runner-gap tree, walked recursively.
+
+    With b_j in residue class -tj mod s, each step b_j = b_{j-1} - t + s*m_j
+    takes a multiplier m_j >= 0 with m_1 + ... + m_{s-1} <= t; the fixed
+    total then gives b_0, which must land in residue class 0.
+    """
+    base = (s - 1) * (1 + t) // 2  # b_0 for the all-zero multiplier vector
+    found = []
+
+    def scan(j, budget, prefix_sum, sum_of_prefix_sums, b_rel):
+        if j == s:
+            b0 = base - sum_of_prefix_sums
+            if b0 % s == 0:
+                found.append(frozenset(b0 + rel for rel in b_rel))
+            return
+        for m in range(budget + 1):
+            p = prefix_sum + m
+            b_rel.append(-t * j + s * p)
+            scan(j + 1, budget - m, p, sum_of_prefix_sums + p, b_rel)
+            b_rel.pop()
+
+    scan(1, t, 0, 0, [0])
+    return found
+
+
+def test_scan_matches_runner_gap_tree():
+    for s in range(2, 10):
+        for t in range(1, 13):
+            if math.gcd(s, t) == 1:
+                fast = [frozenset(els) for els in _iter_st_core_ssets(s, t)]
+                assert len(set(fast)) == len(fast) == anderson_count(s, t), (s, t)
+                assert set(fast) == set(_runner_gap_scan(s, t)), (s, t)
+
+
+def test_scan_is_refused_beyond_its_cap():
+    with pytest.raises(DomainError):
+        _iter_st_core_ssets(30, 31)  # C(60, 29) candidates, refused on the call
+    # 4,474 candidates pass the scan, but 2,237 cores of span up to 4,473 do not
+    assert count_st_cores(2, 4473) == 2237
+    with pytest.raises(DomainError):
+        enumerate_st_cores(2, 4473)
 
 
 def test_every_st_core_is_contained_in_kappa_small():
