@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .abacus import core, core_from_s_set
 from .alcoves import SPoint, sset_of_point
-from .errors import DomainError, check_pair
+from .errors import DomainError, check_pair, check_scan
 from .partitions import Partition
 
 _UX = 15  # pixels per unit of u - v
@@ -45,6 +45,15 @@ class RenderSpec:
             if self.t is None:
                 raise DomainError("tcores mode needs t")
             check_pair(self.s, self.t)
+        # row d holds d // 2 + 1 alcoves, whose points all have the same span,
+        # growing with d; each alcove's core has fewer than span^2 boxes to
+        # draw, and in tcores mode it is also repacked on t runners
+        m, odd = divmod(self.depth - 1, 2)
+        deepest = Alcove(m, 0, not odd).point().coords
+        span = deepest[-1] - deepest[0]
+        alcoves = (self.depth + 1) // 2 * ((self.depth + 2) // 2)
+        per_alcove = span * span + (self.t if self.mode == "tcores" else 0)
+        check_scan(alcoves * per_alcove, f"diagram of {alcoves} alcoves")
 
 
 @dataclass(frozen=True)

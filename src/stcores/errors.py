@@ -23,7 +23,9 @@ MAX_COORD = 2**62
 # each below n, so the cap also keeps its size below 10**14 < MAX_SIZE.
 MAX_SPAN = 10**7
 # Listing (s,t)-cores draws s-1 entries for each of C(s+t-1, s-1) candidates
-# and lays out fewer than (s-1)t beads for each core; both counts are capped.
+# and lays out fewer than (s-1)t beads for each core; a gallery walk and an
+# alcove diagram build one core per step or alcove.  Each such count of work,
+# taken from a closed form before the work starts, is capped.
 MAX_SCAN = 10**7
 
 
@@ -52,10 +54,10 @@ def check_span(span: int) -> None:
         raise DomainError(f"abacus span of {span} positions exceeds the cap of {MAX_SPAN}")
 
 
-def check_scan(work: int) -> None:
-    """A rhomboid scan, or a rebuild of its cores, of at most MAX_SCAN steps."""
+def check_scan(work: int, what: str) -> None:
+    """A scan, walk or rendering (named by what) of at most MAX_SCAN steps."""
     if work > MAX_SCAN:
-        raise DomainError(f"enumeration of {work} steps exceeds the cap of {MAX_SCAN}")
+        raise DomainError(f"{what} of {work} steps exceeds the cap of {MAX_SCAN}")
 
 
 def check_s_set(s: int, elements) -> None:

@@ -43,22 +43,48 @@ def residue_multiset(q: SSet, t: int) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def _sumsq(q: SSet) -> int:
-    return sum(a * a for a in q.elements)
-
-
 @dataclass(frozen=True)
 class OrbitDescentTrace:
-    """Record of a greedy descent: generator applied and s-set after each step."""
+    """Record of a greedy descent: the start and the generator word applied.
+
+    The s-set after each step is not stored; ``steps`` replays the word from
+    ``initial_sset`` each time it is read, so a trace costs one small int per
+    step however large the cores are.
+    """
 
     initial_sset: SSet
-    steps: tuple[tuple[int, SSet], ...]
+    t: int
+    gens: tuple[int, ...]
+
+    def _replay(self):
+        """(generator, b - a) for each step, with the t-cycle after the step
+        (one list, moved in place)."""
+        t = self.t
+        cycle = _t_cycle(self.initial_sset.elements, self.initial_sset.s, t)
+        for i in self.gens:
+            a, b = cycle[i - 1], cycle[i]
+            cycle[i - 1], cycle[i] = b - t, a + t
+            yield i, b - a, cycle
+
+    @property
+    def steps(self) -> tuple[tuple[int, SSet], ...]:
+        """(generator, s-set after the step) for each step, replayed."""
+        s = self.initial_sset.s
+        # each replayed move is a chi_t move, which keeps the s-set contract
+        return tuple((i, _trusted(SSet, s=s, elements=frozenset(cycle))) for i, _, cycle in self._replay())
 
     def sum_sq_sequence(self) -> list[int]:
-        return [_sumsq(self.initial_sset)] + [_sumsq(q) for _, q in self.steps]
+        """Sum of squares of the s-set before the first step and after each one;
+        a move at b - a = d changes it by 2t(t - d)."""
+        total = sum(a * a for a in self.initial_sset.elements)
+        seq = [total]
+        for _, d, _ in self._replay():
+            total += 2 * self.t * (self.t - d)
+            seq.append(total)
+        return seq
 
     def __len__(self) -> int:
-        return len(self.steps)
+        return len(self.gens)
 
 
 def descend_to_t_core(lam: Partition, s: int, t: int) -> tuple[Partition, OrbitDescentTrace]:
@@ -70,23 +96,33 @@ def descend_to_t_core(lam: Partition, s: int, t: int) -> tuple[Partition, OrbitD
     an improvement exactly when b - a > t.  On termination no pair violates
     the bead-closure condition for t, so the result is a t-core, and it
     equals the t-core of lam because every step preserves it.
+
+    The scan does not restart at 0 after a move.  It keeps the invariant that
+    no generator below the scan position improves.  A move at i changes only
+    entries i-1 and i of the cycle, hence only the status of generators i-1,
+    i and i+1 (mod s); so after it the scan resumes at i-1, where the
+    invariant still holds, except that a move at 0 (which touches generator
+    s-1) or at s-1 (which touches generator 0) sends it back to 0.  The first
+    improving generator the scan meets is therefore always the smallest one,
+    and a scan that passes s-1 proves that none improves.
     """
     check_pair(s, t)
     q = q_set(lam, s)  # validates that lam is an s-core
     cycle = _t_cycle(q.elements, s, t)
-    steps: list[tuple[int, SSet]] = []
-    while True:
-        for i in range(s):
-            a, b = cycle[i - 1], cycle[i]
-            if b - a > t:
-                # a chi_t move: a + t and b - t trade classes, keep the sum, lie between a and b
-                cycle[i - 1], cycle[i] = b - t, a + t
-                steps.append((i, _trusted(SSet, s=s, elements=frozenset(cycle))))
-                break
+    gens: list[int] = []
+    i = 0
+    while i < s:
+        a, b = cycle[i - 1], cycle[i]
+        if b - a > t:
+            # a chi_t move: a + t and b - t trade classes, keep the sum, lie between a and b
+            cycle[i - 1], cycle[i] = b - t, a + t
+            gens.append(i)
+            i = i - 1 if 0 < i < s - 1 else 0
         else:
-            break
-    final = steps[-1][1] if steps else q
-    return core_from_s_set(final), OrbitDescentTrace(initial_sset=q, steps=tuple(steps))
+            i += 1
+    # the cycle went through chi_t moves only, so it is still an s-set
+    final = _trusted(SSet, s=s, elements=frozenset(cycle))
+    return core_from_s_set(final), OrbitDescentTrace(initial_sset=q, t=t, gens=tuple(gens))
 
 
 def same_level_t_orbit(lam: Partition, mu: Partition, s: int, t: int) -> bool:
@@ -122,7 +158,7 @@ def _iter_st_core_ssets(s: int, t: int):
     # every (s,t)-core's s-set lies in the rhomboid, of span at most (s-1)t;
     # capping it also keeps min(s-1, t), hence the binomial's cost, small
     check_span((s - 1) * t)
-    check_scan(math.comb(s + t - 1, s - 1) * (s - 1))  # s-1 entries per candidate
+    check_scan(math.comb(s + t - 1, s - 1) * (s - 1), "enumeration")  # s-1 entries per candidate
     base = (s - 1) * (1 + t) // 2
     shifts = range(-t, -t * s, -t)  # -tj for j = 1..s-1
     return (
@@ -141,7 +177,7 @@ def enumerate_st_cores(s: int, t: int) -> list[Partition]:
     """All (s,t)-cores, sorted by (size, parts)."""
     ssets = _iter_st_core_ssets(s, t)  # checks the pair, the span and the scan
     # each core is rebuilt from fewer beads than its span, at most (s-1)t
-    check_scan(anderson_count(s, t) * (s - 1) * t)
+    check_scan(anderson_count(s, t) * (s - 1) * t, "enumeration")
     cores = [_partition_from_first_gaps(els, s) for els in ssets]
     cores.sort(key=lambda p: (sum(p.parts), p.parts))
     return cores
@@ -202,10 +238,15 @@ def containment_chain(p: SPoint, s: int, t: int) -> ContainmentChain:
     def walls_touching(a: int, b: int) -> int:
         return walls(a, b) + sum(walls(a, n) + walls(b, n) for n in range(s) if n != a and n != b)
 
+    # the wall count looks at every pair once; then each step recounts O(s)
+    # pairs and builds a point and a core of span at most (s-1)t, since the
+    # walk stays in the rhomboid
+    check_scan(s * (s - 1) // 2, "wall count")
+    remaining = sum(walls(a, b) for a, b in combinations(range(s), 2))
+    check_scan(remaining * (s + (s - 1) * t), f"gallery walk across {remaining} walls")
     points = [q]
     cores = [core_from_s_set(sset_of_point(q))]
     gens: list[int] = []
-    remaining = sum(walls(a, b) for a, b in combinations(range(s), 2))
     while remaining:
         for i in range(s):
             a, b = position[(i - 1) % s], position[i]

@@ -293,3 +293,27 @@ def test_enumerate_is_iterative_and_capped(capsys):
     code, out, err = refused
     assert (code, out) == (2, "")
     assert err.startswith("stcores:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # C(401, 3) = 10,706,800 walls from the origin to the tip, cores of span up to 159,600
+        ["chain", "--s", "400", "--t", "401", "(" + ",".join(map(str, range(400))) + ")"],
+        # 2.5e9 alcoves
+        ["diagram", "--s", "3", "--depth", "100000"],
+    ],
+    ids=["chain-400-401", "diagram-depth-100000"],
+)
+def test_oversize_walks_and_diagrams_are_refused_up_front(capsys, argv):
+    """The walk and the diagram are refused from closed-form counts, before any step."""
+    previous = signal.signal(signal.SIGALRM, _on_alarm)
+    signal.alarm(10)
+    try:
+        code, out, err = run_cli(capsys, *argv)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert (code, out) == (2, "")
+    assert err.startswith("stcores:") and "exceeds the cap of 10000000" in err
+    assert len(err.splitlines()) == 1

@@ -42,6 +42,18 @@ def test_spec_validation():
         RenderSpec(s=3, depth=3, mode="squares")
 
 
+def test_depth_is_capped_by_alcove_count_and_span():
+    """Depth 64 has 1,056 alcoves of span at most 97: 9,935,904 < 10^7, admitted;
+    depth 65 has 1,089 of span at most 98 and is refused, as is a t whose
+    runners alone exceed the cap."""
+    RenderSpec(s=3, depth=64, mode="cores")
+    RenderSpec(s=3, depth=40, mode="tcores", t=4)
+    with pytest.raises(DomainError, match="diagram of 1089 alcoves"):
+        RenderSpec(s=3, depth=65, mode="cores")
+    with pytest.raises(DomainError, match="cap"):
+        RenderSpec(s=3, depth=1, mode="tcores", t=9_999_998)
+
+
 def test_depth_one_is_the_fundamental_alcove():
     labels = alcove_labels(RenderSpec(s=3, depth=1, mode="cores"))
     assert len(labels) == 1

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -117,6 +118,64 @@ def test_descent_steps_are_the_smallest_improving_chi_t_moves():
             assert current == chi_on_sset(gen, t, previous)
             previous = current
         assert _improving_gens(previous, t) == []
+
+
+def _eager_descent(q, t):
+    """Oracle for descend_to_t_core: after every move, rescan the generators
+    from 0 and build the s-set.  Returns the steps as (generator, s-set) pairs."""
+    s = q.s
+    cycle = [{a % s: a for a in q.elements}[k * t % s] for k in range(s)]
+    steps = []
+    while True:
+        for i in range(s):
+            a, b = cycle[i - 1], cycle[i]
+            if b - a > t:
+                cycle[i - 1], cycle[i] = b - t, a + t
+                steps.append((i, make_sset(s, cycle)))
+                break
+        else:
+            return tuple(steps)
+
+
+def test_descent_matches_eager_rescan():
+    """Resuming the scan at i-1 (at 0 after a move at 0 or s-1) applies the same
+    generator word, with the same s-sets, as rescanning from 0 after each move."""
+    rng = random.Random(15)
+    for s in range(2, 14):
+        moves_at_ends = {0: 0, s - 1: 0}
+        for t in range(1, s + 5):
+            if math.gcd(s, t) != 1:
+                continue
+            for _ in range(4):
+                q = make_sset(s, random_s_point(rng, s, rng.randint(1, 25)).coords)
+                nu, trace = descend_to_t_core(core_from_s_set(q), s, t)
+                steps = _eager_descent(q, t)
+                assert trace.gens == tuple(i for i, _ in steps), (s, t, q)
+                assert trace.steps == steps, (s, t, q)
+                assert nu == core_from_s_set(steps[-1][1] if steps else q)
+                for i in trace.gens:
+                    if i in moves_at_ends:
+                        moves_at_ends[i] += 1
+        assert all(moves_at_ends.values()), (s, moves_at_ends)
+
+
+def test_descent_trace_keeps_no_s_sets():
+    """An 8.9e9-box 11-core descends at t = 13 in 63,681 steps; the trace holds
+    only the generator word, so the descent allocates a few MiB, not one s-set
+    per step (about 60 MiB)."""
+    s, t = 11, 13
+    rng = random.Random("descent-memory")
+    q = make_sset(s, random_s_point(rng, s, 20000).coords)
+    lam = core_from_s_set(q)
+    tracemalloc.start()
+    try:
+        nu, trace = descend_to_t_core(lam, s, t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (size(lam), len(trace)) == (8_904_825_910, 63_681)
+    assert peak < 20 * 2**20
+    assert nu == core(lam, t)
 
 
 def test_same_level_t_orbit_examples():
@@ -375,3 +434,12 @@ def test_chain_from_origin_at_20_21():
     assert chain.cores[-1] == kappa(s, t)
     assert size(chain.cores[-1]) == (s * s - 1) * (t * t - 1) // 24
     assert all(contains(b, a) for a, b in zip(chain.cores, chain.cores[1:]))
+
+
+def test_chain_is_refused_beyond_its_cap():
+    """Refused before the walk: 10,660 walls from the origin at (40, 41), with
+    cores of span up to 1,599, and 12,497,500 pairs to count at (5000, 1)."""
+    with pytest.raises(DomainError, match="gallery walk across 10660 walls"):
+        containment_chain(origin(40), 40, 41)
+    with pytest.raises(DomainError, match="wall count"):
+        containment_chain(origin(5000), 5000, 1)
