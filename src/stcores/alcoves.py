@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from .abacus import SSet
-from .errors import DomainError, _trusted, check_level, check_pair, check_s_set, check_span
+from .errors import MAX_SCAN, DomainError, _trusted, check_level, check_pair, check_s_set, check_scan, check_span
 
 
 @dataclass(frozen=True)
@@ -219,6 +219,12 @@ def rhomboid_points(s: int, t: int) -> list[SPoint]:
     """
     if s < 2 or t < 1:
         raise DomainError("need s >= 2 and t >= 1")
+    # s-1 entries per gap vector; for t >= 2 the count passes the cap once s
+    # exceeds the cap's bit length, which is decided before any power is built
+    scan = f"rhomboid scan of {t}^{s - 1} gap vectors"
+    if t > 1 and s > MAX_SCAN.bit_length():
+        raise DomainError(f"{scan} exceeds the cap of {MAX_SCAN}")
+    check_scan((s - 1) * t ** (s - 1), scan)
     total = s * (s - 1) // 2
     points = []
     for gaps in product(range(1, t + 1), repeat=s - 1):

@@ -212,9 +212,23 @@ def containment_chain(p: SPoint, s: int, t: int) -> ContainmentChain:
     current point on its positive side.  That wall separates the point from
     the tip exactly when tip_b - tip_a < ks.  The number of walls between a
     point and the tip is the sum over pairs a < b of
-    |floor((tip_b - tip_a)/s) - floor((p_b - p_a)/s)|; it is computed once,
-    and each step recounts only the pairs involving a or b, so a step costs
-    O(s) besides building its core.
+    |floor((tip_b - tip_a)/s) - floor((p_b - p_a)/s)|; it is computed once.
+    A step moves the floor of the pair (a, b) by exactly one and no other:
+    for any other position n, p_n - p_a and p_n - p_b move by 1, and could
+    cross a multiple of s only if p_n shared a class with x or y.  So each
+    step rechecks that one pair.
+
+    The scan does not restart at 0.  It keeps the invariant that no
+    generator below the scan position qualifies.  A move at i changes only
+    classes i-1 and i, hence only the status of generators i-1, i and i+1
+    (mod s); so the scan resumes at i-1, except that a move at 0 (which
+    touches generator s-1) or at s-1 (which touches generator 0) sends it
+    back to 0.  The first generator it meets is the smallest that qualifies.
+
+    Every caller reads the cores (``chain`` prints them, ``verify`` and the
+    tests compare them), so they stay eager; they are built straight from
+    the coordinates, since the walk stays in the rhomboid, whose span (s-1)t
+    ``tip`` has bounded.  The core build is most of the cost of a step.
 
     If no generator ever qualifies before the tip is reached, or a step
     removes other than exactly one separating wall, or the walk ends away
@@ -227,45 +241,43 @@ def containment_chain(p: SPoint, s: int, t: int) -> ContainmentChain:
     q = fold_to_dominant(p)
     if not in_rhomboid(q, t):
         raise DomainError(f"{q} is not in the level-{t} rhomboid")
-    target = tip(s, t)
+    target = tip(s, t)  # checks the span (s-1)t of every rhomboid point
     goal = target.coords
     coords = list(q.coords)
-    position = {c % s: n for n, c in enumerate(coords)}
+    position = sorted(range(s), key=lambda n: coords[n] % s)  # index of each class
 
     def walls(a: int, b: int) -> int:
         return abs((goal[b] - goal[a]) // s - (coords[b] - coords[a]) // s)
 
-    def walls_touching(a: int, b: int) -> int:
-        return walls(a, b) + sum(walls(a, n) + walls(b, n) for n in range(s) if n != a and n != b)
-
-    # the wall count looks at every pair once; then each step recounts O(s)
-    # pairs and builds a point and a core of span at most (s-1)t, since the
-    # walk stays in the rhomboid
+    # the wall count looks at every pair once; then each step scans at most s
+    # generators and builds a point and a core of span at most (s-1)t
     check_scan(s * (s - 1) // 2, "wall count")
     remaining = sum(walls(a, b) for a, b in combinations(range(s), 2))
     check_scan(remaining * (s + (s - 1) * t), f"gallery walk across {remaining} walls")
     points = [q]
-    cores = [core_from_s_set(sset_of_point(q))]
+    cores = [_partition_from_first_gaps(q.coords, s)]
     gens: list[int] = []
+    i = 0
     while remaining:
-        for i in range(s):
-            a, b = position[(i - 1) % s], position[i]
+        for i in range(i, s):
+            a, b = position[i - 1], position[i]
             if goal[b] - goal[a] < coords[b] - coords[a] - 1:
                 break
         else:
             raise RuntimeError(f"no generator separates {q} from {target}; walk is stuck")
-        before = walls_touching(a, b)
+        before = walls(a, b)
         coords[a] += 1
         coords[b] -= 1
-        position[(i - 1) % s], position[i] = b, a
-        if walls_touching(a, b) != before - 1:
+        position[i - 1], position[i] = b, a
+        if walls(a, b) != before - 1:
             raise RuntimeError("gallery walk crossed more than one separating wall")
         remaining -= 1
         # chi_1 keeps classes and sum; at most wall-count unit moves keep the bound
         q = _trusted(SPoint, coords=tuple(coords))
         points.append(q)
-        cores.append(core_from_s_set(sset_of_point(q)))
+        cores.append(_partition_from_first_gaps(q.coords, s))
         gens.append(i)
+        i = i - 1 if 0 < i < s - 1 else 0
     if q != target:
         raise RuntimeError(f"gallery walk ended at {q}, not at the tip {target}")
     return ContainmentChain(points=tuple(points), cores=tuple(cores), gens=tuple(gens))

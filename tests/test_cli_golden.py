@@ -15,6 +15,8 @@ import pytest
 from stcores import cli
 
 _ORIGIN_15 = "(" + ",".join(str(c) for c in range(15)) + ")"
+# the first seeded (13,15) start of the walk tests in test_orbits.py: 217 steps
+_SEEDED_13 = "(-30,-24,-23,-19,-14,-12,0,11,18,30,36,47,58)"
 
 # (argv, sha256 of plain stdout, sha256 of --json stdout); each exits 0 with empty stderr.
 # The README examples (diagram without --out) come first, then larger cases.
@@ -61,6 +63,9 @@ GOLDEN = [
     (['chain', '--s', '15', '--t', '16', _ORIGIN_15],
      '009dffeb27285620547fe2791b187d8310de367c0c5f856f7c0a13d2992b0df5',
      '8d0eed6a0b648bb8e394a200bf998aa214d7540a83aeef28e5bb80213a96672a'),
+    (['chain', '--s', '13', '--t', '15', _SEEDED_13],
+     '9ee47aab6c364870fb1ae784e4c298d03671bd73f21a69521cfde0862a19fa6e',
+     '596cfae51bb02db7125da27347339164130a051aa25c713f27d805c45620131f'),
     (['diagram', '--s', '3', '--t', '4', '--depth', '12', '--mode', 'tcores'],
      'ea646de5f1288d874507380813bd568b731657e22e22cb7d10ded50d4237f642',
      '95930b152c8f40f6d6d722070ec1835c2cbec05168b41d3d9f794e4adfb46d86'),

@@ -403,6 +403,11 @@ def _assert_matches_oracle(p, s, t):
     assert (chain.points, chain.cores, chain.gens) == _wall_count_walk(p, s, t), (s, t, p)
     for k, i in enumerate(chain.gens):
         assert chain.points[k + 1] == chi_gen(i, 1, chain.points[k])
+        # Lemma 5.3: the predicate b <= a + 1 holds at each step, and the
+        # next core contains the current one
+        assert lemma53_check(chain.cores[k], i, s), (s, t, chain.points[k], i)
+        assert contains(chain.cores[k + 1], chain.cores[k])
+    return chain
 
 
 def test_chain_matches_wall_count_walk_on_small_rhomboids():
@@ -416,8 +421,11 @@ def test_chain_matches_wall_count_walk_on_small_rhomboids():
 @pytest.mark.parametrize("s,t", [(11, 13), (13, 15)])
 def test_chain_matches_wall_count_walk_on_seeded_points(s, t):
     rng = random.Random(f"chain:{s}:{t}")
+    gens = set()
     for _ in range(10):
-        _assert_matches_oracle(_seeded_rhomboid_point(rng, s, t), s, t)
+        gens.update(_assert_matches_oracle(_seeded_rhomboid_point(rng, s, t), s, t).gens)
+    # moves at 0 and at s-1 are the two that send the resumed scan back to 0
+    assert {0, s - 1} <= gens
 
 
 def test_chain_from_origin_at_20_21():
