@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import add
 
-from .errors import DomainError, _trusted, check_s_set, check_span
+from .errors import DomainError, _read_ints, _trusted, check_s, check_s_set, check_span
 from .partitions import Partition
 
 
@@ -69,14 +69,7 @@ def sset_to_text(q: SSet) -> str:
 
 
 def sset_from_text(text: str, s: int) -> SSet:
-    text = text.strip()
-    if not (text.startswith("[") and text.endswith("]")):
-        raise DomainError(f"malformed s-set text: {text!r}")
-    try:
-        elements = [int(tok) for tok in text[1:-1].split(",")] if text[1:-1] else []
-    except ValueError as exc:
-        raise DomainError(f"malformed s-set text: {text!r}") from exc
-    return make_sset(s, elements)
+    return make_sset(s, _read_ints(text, "s-set text", "[]"))
 
 
 def beta_set(p: Partition) -> BetaSet:
@@ -134,8 +127,7 @@ def is_s_core(p: Partition, s: int) -> bool:
 
 def q_set(p: Partition, s: int) -> SSet:
     """Q(lambda): the highest unoccupied position on each runner of an s-core."""
-    if s < 2:
-        raise DomainError("q_set needs s >= 2")
+    check_s(s)
     elements = frozenset(_packed_first_gaps(p, s))
     if _core_size(s, elements) != sum(p.parts):
         raise DomainError(f"{p} is not a {s}-core")

@@ -12,8 +12,8 @@ there is no reduced-word machinery here.
 from __future__ import annotations
 
 from .abacus import SSet, core_from_s_set, q_set
-from .alcoves import SPoint
-from .errors import MAX_COORD, DomainError, _trusted, check_level, check_pair
+from .alcoves import Hyperplane, SPoint, _moved_point, reflect
+from .errors import DomainError, _read_ints, _trusted, check_coords, check_level, check_pair
 from .partitions import Partition
 
 Word = tuple[int, ...]
@@ -25,20 +25,13 @@ def _check_generator(i: int, s: int) -> None:
 
 
 def psi_gen(i: int, t: int, p: SPoint) -> SPoint:
-    """Generator of the level-t reflection action.
-
-    For 1 <= i < s the i-th and (i+1)-th coordinates swap; the 0 generator
-    maps (p_1,...,p_s) to (p_s - st, p_2, ..., p_{s-1}, p_1 + st).
-    """
-    s = p.s
-    _check_generator(i, s)
+    """Generator of the level-t reflection action: the reflection in the i-th wall of
+    the fundamental alcove.  For 1 <= i < s that is H_{i,i+1}^0, which swaps the i-th
+    and (i+1)-th coordinates; for i = 0 it is the affine wall pushed out to level t,
+    H_{1,s}^t, which maps (p_1,...,p_s) to (p_s - st, p_2, ..., p_{s-1}, p_1 + st)."""
+    _check_generator(i, p.s)
     check_level(t)
-    coords = list(p.coords)
-    if i == 0:
-        coords[0], coords[-1] = coords[-1] - s * t, coords[0] + s * t
-    else:
-        coords[i - 1], coords[i] = coords[i], coords[i - 1]
-    return SPoint(tuple(coords))
+    return reflect(p, Hyperplane(i, i + 1, 0) if i else Hyperplane(1, p.s, t))
 
 
 def _t_cycle(elements, s: int, t: int) -> list[int]:
@@ -61,7 +54,7 @@ def chi_gen(i: int, t: int, p: SPoint) -> SPoint:
             coords[idx] = c + t
         elif c % s == r_down:
             coords[idx] = c - t
-    return SPoint(tuple(coords))
+    return _moved_point(coords)
 
 
 def chi_on_sset(i: int, t: int, q: SSet) -> SSet:
@@ -71,9 +64,7 @@ def chi_on_sset(i: int, t: int, q: SSet) -> SSet:
     check_pair(s, t)
     cycle = _t_cycle(q.elements, s, t)
     a, b = cycle[i - 1], cycle[i]
-    if a + t > MAX_COORD or b - t < -MAX_COORD:
-        # a user-supplied t can push the moved pair past the bound, and only it
-        raise DomainError("coordinate overflow beyond the 63-bit guard")
+    check_coords((a + t, b - t))  # a user-supplied t can push the moved pair past the bound
     # chi_t: a + t and b - t trade residue classes (b = a + t mod s) and keep the sum
     return _trusted(SSet, s=s, elements=(q.elements - {a, b}) | {a + t, b - t})
 
@@ -100,18 +91,11 @@ def apply_word(word: Word, action: str, t: int, p: SPoint) -> SPoint:
 
 def parse_word(text: str) -> Word:
     """Space-separated generator indices, e.g. '0 2 1 0'."""
-    text = text.strip()
-    if not text:
-        return ()
-    try:
-        return tuple(int(tok) for tok in text.split())
-    except ValueError as exc:
-        raise DomainError(f"malformed word: {text!r}") from exc
+    return tuple(_read_ints(text, "word", sep=None))
 
 
 def alpha(p: SPoint, t: int) -> SPoint:
     """The affine map rotating the dilated simplex: (p_s - (s-1)t, p_1 + t, ...)."""
     check_level(t)
     s = p.s
-    coords = (p.coords[-1] - (s - 1) * t,) + tuple(c + t for c in p.coords[:-1])
-    return SPoint(coords)
+    return _moved_point((p.coords[-1] - (s - 1) * t,) + tuple(c + t for c in p.coords[:-1]))

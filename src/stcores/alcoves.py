@@ -13,7 +13,8 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from .abacus import SSet
-from .errors import MAX_SCAN, DomainError, _trusted, check_level, check_pair, check_s_set, check_scan, check_span
+from .errors import MAX_SCAN, DomainError, _read_ints, _trusted, check_coords, check_level, check_pair, check_s
+from .errors import check_s_set, check_scan, check_span
 
 
 @dataclass(frozen=True)
@@ -59,14 +60,7 @@ def point_to_text(p: SPoint) -> str:
 
 
 def point_from_text(text: str) -> SPoint:
-    text = text.strip()
-    if not (text.startswith("(") and text.endswith(")")):
-        raise DomainError(f"malformed point text: {text!r}")
-    try:
-        coords = tuple(int(tok) for tok in text[1:-1].split(","))
-    except ValueError as exc:
-        raise DomainError(f"malformed point text: {text!r}") from exc
-    return SPoint(coords)
+    return SPoint(tuple(_read_ints(text, "point text", "()")))
 
 
 def origin(s: int) -> SPoint:
@@ -74,24 +68,31 @@ def origin(s: int) -> SPoint:
     return SPoint(tuple(range(s)))
 
 
-def _check_indices(p: SPoint, h: Hyperplane) -> None:
-    if h.j > p.s:
-        raise DomainError(f"hyperplane {h} does not live in P^{p.s}")
+def _check_in_space(h: Hyperplane, s: int) -> None:
+    if h.j > s:
+        raise DomainError(f"hyperplane {h} does not live in P^{s}")
+
+
+def _moved_point(coords) -> SPoint:
+    """The s-point at coords, moved off a checked one by a reflection, a chi_t generator
+    or alpha: each keeps the classes distinct and the sum, so only the bound is checked."""
+    check_coords(coords)
+    return _trusted(SPoint, coords=tuple(coords))
 
 
 def reflect(p: SPoint, h: Hyperplane) -> SPoint:
     """Orthogonal reflection: p - (p_j - p_i - ks)(e_j - e_i)."""
-    _check_indices(p, h)
+    _check_in_space(h, p.s)
     delta = p.coords[h.j - 1] - p.coords[h.i - 1] - h.k * p.s
     coords = list(p.coords)
     coords[h.i - 1] += delta
     coords[h.j - 1] -= delta
-    return SPoint(tuple(coords))
+    return _moved_point(coords)
 
 
 def side_of(p: SPoint, h: Hyperplane) -> int:
     """+1 or -1; never 0 because no s-point lies on a hyperplane."""
-    _check_indices(p, h)
+    _check_in_space(h, p.s)
     value = p.coords[h.j - 1] - p.coords[h.i - 1] - h.k * p.s
     if value == 0:
         raise RuntimeError(f"s-point {p} lies on {h}")
@@ -106,8 +107,8 @@ def reflect_hyperplane(h: Hyperplane, r: Hyperplane, s: int) -> Hyperplane:
     image hyperplane directly.  The partial case table one can write down for
     this map is used as a test oracle, not as the implementation.
     """
-    if r.j > s or h.j > s:
-        raise DomainError("hyperplane indices exceed s")
+    _check_in_space(h, s)
+    _check_in_space(r, s)
 
     def image_index(a: int) -> int:
         if a == r.i:
@@ -202,8 +203,8 @@ def simplex_vertices(s: int, t: int) -> list[tuple[Fraction, ...]]:
 
     Half-integral when s is even, hence exact Fractions rather than SPoints.
     """
-    if s < 2 or t < 1:
-        raise DomainError("need s >= 2 and t >= 1")
+    check_s(s)
+    check_level(t)
     base = Fraction(s - 1, 2)
     return [
         tuple(base + (i - s) * t if j <= i else base + i * t for j in range(1, s + 1))
@@ -217,8 +218,8 @@ def rhomboid_points(s: int, t: int) -> list[SPoint]:
     Gap vectors whose anchor coordinate is non-integral or whose coordinates
     collide mod s do not correspond to s-points and are skipped.
     """
-    if s < 2 or t < 1:
-        raise DomainError("need s >= 2 and t >= 1")
+    check_s(s)
+    check_level(t)
     # s-1 entries per gap vector; for t >= 2 the count passes the cap once s
     # exceeds the cap's bit length, which is decided before any power is built
     scan = f"rhomboid scan of {t}^{s - 1} gap vectors"
@@ -251,7 +252,6 @@ def hyperplane_meets_rhomboid(h: Hyperplane, s: int, t: int) -> bool:
     Coprimality keeps both bounds non-integral, so strictness is safe.
     """
     check_pair(s, t)
-    if h.j > s:
-        raise DomainError("hyperplane indices exceed s")
+    _check_in_space(h, s)
     d = h.j - h.i
     return d < h.k * s and h.k * s < d * t

@@ -82,7 +82,7 @@ def _cmd_kappa(args) -> int:
 
 def _cmd_count(args) -> int:
     result = orbits.anderson_count(args.s, args.t)
-    _emit(args, {}, result, s=args.s, t=args.t, plain=[str(result)])
+    _emit(args, {}, result, s=args.s, t=args.t)
     return 0
 
 

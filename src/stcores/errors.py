@@ -33,6 +33,12 @@ class DomainError(ValueError):
     """Invalid input for the requested operation."""
 
 
+def check_s(s: int) -> None:
+    """The number of runners or coordinates: s >= 2."""
+    if s < 2:
+        raise DomainError(f"need s >= 2, got {s}")
+
+
 def check_level(t: int) -> None:
     """The level of an action or rhomboid: t >= 1."""
     if t < 1:
@@ -41,11 +47,16 @@ def check_level(t: int) -> None:
 
 def check_pair(s: int, t: int) -> None:
     """A level-t pair: s >= 2, t >= 1 and gcd(s, t) = 1."""
-    if s < 2:
-        raise DomainError(f"need s >= 2, got {s}")
+    check_s(s)
     check_level(t)
     if math.gcd(s, t) != 1:
         raise DomainError(f"({s}, {t}) must be coprime")
+
+
+def check_coords(values) -> None:
+    """Integers within MAX_COORD, the 63-bit guard."""
+    if max(map(abs, values), default=0) > MAX_COORD:
+        raise DomainError("coordinate overflow beyond the 63-bit guard")
 
 
 def check_span(span: int) -> None:
@@ -63,16 +74,27 @@ def check_scan(work: int, what: str) -> None:
 def check_s_set(s: int, elements) -> None:
     """The contract of both SSet and SPoint: s >= 2 integers within MAX_COORD,
     pairwise incongruent mod s, summing to s(s-1)/2."""
-    if any(abs(a) > MAX_COORD for a in elements):
-        raise DomainError("coordinate overflow beyond the 63-bit guard")
-    if s < 2:
-        raise DomainError(f"need s >= 2, got {s}")
+    check_coords(elements)
+    check_s(s)
     if len(elements) != s:
         raise DomainError(f"expected {s} elements, got {len(elements)}")
     if len({a % s for a in elements}) != s:
         raise DomainError(f"elements must be pairwise incongruent mod {s}")
     if sum(elements) != s * (s - 1) // 2:
         raise DomainError("elements must sum to s(s-1)/2")
+
+
+def _read_ints(text: str, what: str, brackets: str = "", sep: str | None = ",") -> list[int]:
+    """The integers of a text format (named by what), stripped, in the two brackets if
+    any, split at sep (None: at runs of whitespace); an empty body holds none."""
+    text = text.strip()
+    if brackets and not (text.startswith(brackets[0]) and text.endswith(brackets[1])):
+        raise DomainError(f"malformed {what}: {text!r}")
+    body = text[1:-1] if brackets else text
+    try:
+        return [int(tok) for tok in body.split(sep)] if body else []
+    except ValueError as exc:
+        raise DomainError(f"malformed {what}: {text!r}") from exc
 
 
 def _trusted(cls, **fields):

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
-from .errors import MAX_SIZE, DomainError
+from .errors import MAX_SIZE, DomainError, _read_ints
 
 
 class Box(NamedTuple):
@@ -57,19 +57,9 @@ class Partition:
         return self.parts[i - 1] if 1 <= i <= len(self.parts) else 0
 
 
-EMPTY = Partition()
-
-
 def from_text(text: str) -> Partition:
     """Parse the canonical comma-separated form; empty string is ()."""
-    text = text.strip()
-    if not text:
-        return EMPTY
-    try:
-        parts = tuple(int(tok) for tok in text.split(","))
-    except ValueError as exc:
-        raise DomainError(f"malformed partition text: {text!r}") from exc
-    return Partition(parts)
+    return Partition(tuple(_read_ints(text, "partition text")))
 
 
 def to_text(p: Partition) -> str:

@@ -14,6 +14,7 @@ from typing import Callable
 from . import abacus, affine_actions as act, orbits, partitions as parts
 from .abacus import core_from_s_set, q_set, size_from_s_set
 from .alcoves import SPoint, alcove_key, origin, rhomboid_points, separating_hyperplanes
+from .errors import check_scan
 from .partitions import Partition
 
 Check = tuple[str, bool, str]
@@ -42,8 +43,12 @@ def _coprime_ts(s: int, candidates=(1, 2, 3, 4, 5, 7)) -> list[int]:
     return [t for t in candidates if math.gcd(s, t) == 1]
 
 
+def _corpus_max(trials: int) -> int:
+    return min(16, max(8, trials // 16))
+
+
 def suite_core_oracle(s_max: int, t_max: int, seed: int, trials: int) -> list[Check]:
-    size_max = min(16, max(8, trials // 16))
+    size_max = _corpus_max(trials)
     corpus = list(parts.partitions_up_to(size_max))
     bad_core = []
     bad_flag = []
@@ -203,7 +208,54 @@ SUITES: dict[str, Callable[[int, int, int, int], list[Check]]] = {
 }
 
 
+def _work_core_oracle(s_max: int, t_max: int, trials: int):
+    # each corpus partition against each s: s runners laid out, and the
+    # rim-hook oracles scan the at most n^2 cells and hooks of a size-n partition
+    n = _corpus_max(trials)
+    corpus = sum(1 for _ in parts.partitions_up_to(n))  # at most 915 partitions, n <= 16
+    yield corpus * (s_max * (s_max + 1) // 2 + s_max * n * n)
+
+
+def _work_actions(s_max: int, t_max: int, trials: int):
+    # per random point the relation checks apply about 4s^2 generators, each
+    # moving s coordinates at the cost of about 32 moves for the call itself
+    for s in range(2, s_max + 1):
+        ts = [t for t in _coprime_ts(s) if t <= t_max]
+        yield len(ts) * max(1, trials // 10) * 4 * s * s * (s + 32)
+
+
+def _work_olsson(s_max: int, t_max: int, trials: int):
+    # the pair list, then per trial up to 40 chi_t steps on s entries, t runners
+    # for the t-core and a descent from a core of at most 200 boxes
+    yield s_max * t_max + trials * (40 * s_max + t_max + 200)
+
+
+def _work_vandehey(s_max: int, t_max: int, trials: int):
+    # C(s+t-1, s-1) candidates of s-1 entries, then C(s+t, s)/(s+t) cores of span
+    # (s-1)t: (s-1) C(s+t, s) in all per pair; the chains stop at s, t <= 5
+    yield s_max
+    for s in range(2, min(s_max, t_max - 1) + 1):
+        for t in range(s + 1, t_max + 1):
+            if math.gcd(s, t) == 1:
+                yield (s - 1) * math.comb(s + t, s)
+
+
+_WORK = {
+    "core-oracle": _work_core_oracle,
+    "actions": _work_actions,
+    "olsson": _work_olsson,
+    "vandehey": _work_vandehey,
+}
+
+
 def run_suites(names: list[str], s_max: int, t_max: int, seed: int, trials: int) -> list[Check]:
+    """Run the named suites, each refused first if its work passes MAX_SCAN; the
+    work is summed from closed forms in the suite's own order until it does."""
+    for name in names:
+        total = 0
+        for term in _WORK[name](s_max, t_max, trials):
+            total += term
+            check_scan(total, f"verify --suite {name}")
     checks = []
     for name in names:
         checks.extend(SUITES[name](s_max, t_max, seed, trials))

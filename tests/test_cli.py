@@ -302,11 +302,25 @@ def test_enumerate_is_iterative_and_capped(capsys):
         ["chain", "--s", "400", "--t", "401", "(" + ",".join(map(str, range(400))) + ")"],
         # 2.5e9 alcoves
         ["diagram", "--s", "3", "--depth", "100000"],
+        # (6, 59) alone: 5 C(65, 6) = 4.1e8 candidate entries and core beads
+        ["verify", "--suite", "vandehey", "--t-max", "60"],
+        # 4 s^2 (s + 32) steps per random point and level at s = 40: 4.6e5
+        ["verify", "--suite", "actions", "--s-max", "40"],
+        ["verify", "--suite", "olsson", "--trials", "3000000"],
+        # 272 corpus partitions against s up to 3000
+        ["verify", "--suite", "core-oracle", "--s-max", "3000"],
     ],
-    ids=["chain-400-401", "diagram-depth-100000"],
+    ids=[
+        "chain-400-401",
+        "diagram-depth-100000",
+        "verify-vandehey-t-max-60",
+        "verify-actions-s-max-40",
+        "verify-olsson-trials-3000000",
+        "verify-core-oracle-s-max-3000",
+    ],
 )
 def test_oversize_walks_and_diagrams_are_refused_up_front(capsys, argv):
-    """The walk and the diagram are refused from closed-form counts, before any step."""
+    """Walks, diagrams and verify runs are refused from closed-form counts, before any step."""
     previous = signal.signal(signal.SIGALRM, _on_alarm)
     signal.alarm(10)
     try:

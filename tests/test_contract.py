@@ -4,8 +4,19 @@ import pytest
 
 from stcores import DomainError
 from stcores.abacus import SSet, core_from_s_set, make_sset, q_set, sset_from_text
-from stcores.affine_actions import chi_on_sset
-from stcores.alcoves import SPoint, origin, point_from_text
+from stcores.affine_actions import alpha, chi_gen, chi_on_sset, psi_gen
+from stcores.alcoves import (
+    Hyperplane,
+    SPoint,
+    hyperplane_meets_rhomboid,
+    origin,
+    point_from_text,
+    reflect,
+    reflect_hyperplane,
+    rhomboid_points,
+    side_of,
+    simplex_vertices,
+)
 from stcores.orbits import containment_chain
 from stcores.partitions import Partition, from_text
 
@@ -26,10 +37,29 @@ BOUNDARY_CASES = {
     "chain_outside_rhomboid": lambda: containment_chain(SPoint((-4, 1, 6)), 3, 4),
     # the 63-bit coordinate bound is part of the s-set contract, not only SPoint's
     "make_sset_beyond_63_bits": lambda: make_sset(2, (2**63, 1 - 2**63)),
-    # Kane-style size formula: refused before any part is built
+    # a span of 2^33 - 1 positions: refused by the span cap before any part is built
     "core_from_s_set_beyond_63_bits": lambda: core_from_s_set(make_sset(2, (2**32, 1 - 2**32))),
     # size 5e15 is under 2^62, but the rebuild would scan 2e8 abacus positions
     "core_from_s_set_beyond_span_cap": lambda: core_from_s_set(make_sset(2, (-10**8, 10**8 + 1))),
+    # a user-supplied t or k can push a generator's or a reflection's result past 63 bits
+    "psi_gen_beyond_63_bits": lambda: psi_gen(0, 2**62, origin(3)),
+    "chi_gen_beyond_63_bits": lambda: chi_gen(1, 2**62 + 1, origin(3)),
+    "alpha_beyond_63_bits": lambda: alpha(origin(3), 2**62),
+    "reflect_beyond_63_bits": lambda: reflect(origin(3), Hyperplane(1, 3, 2**61)),
+    "rhomboid_points_s_below_2": lambda: rhomboid_points(1, 3),
+    "simplex_vertices_s_below_2": lambda: simplex_vertices(1, 3),
+    "q_set_s_below_2": lambda: q_set(Partition(), 1),
+    "reflect_outside_space": lambda: reflect(origin(3), Hyperplane(1, 4, 0)),
+    "side_of_hyperplane_outside_space": lambda: side_of(origin(3), Hyperplane(1, 4, 1)),
+    "reflect_hyperplane_image_outside_space": lambda: reflect_hyperplane(
+        Hyperplane(1, 4, 0), Hyperplane(1, 2, 0), 3
+    ),
+    "reflect_hyperplane_mirror_outside_space": lambda: reflect_hyperplane(
+        Hyperplane(1, 2, 0), Hyperplane(1, 4, 0), 3
+    ),
+    "meets_rhomboid_hyperplane_outside_space": lambda: hyperplane_meets_rhomboid(
+        Hyperplane(1, 4, 1), 3, 4
+    ),
 }
 
 
