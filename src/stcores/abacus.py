@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import add
 
-from .errors import DomainError, _read_ints, _trusted, check_s, check_s_set, check_span
+from .errors import DomainError, _read_ints, _trusted, check_modulus, check_s, check_s_set, check_span
 from .partitions import Partition
 
 
@@ -89,8 +89,7 @@ def _packed_first_gaps(p: Partition, s: int) -> list[int]:
     the boundary is recovered from the bead count: (top tail position on the
     runner) + s * (heads on the runner + 1).
     """
-    if s < 1:
-        raise DomainError("s must be a positive integer")
+    check_modulus(s)
     check_span(s - 1)  # s first gaps in distinct classes span at least s - 1
     heads = [part - i for i, part in enumerate(p.parts, start=1)]
     counts = [0] * s

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from .abacus import SSet, core_from_s_set, q_set
 from .alcoves import Hyperplane, SPoint, _moved_point, reflect
-from .errors import DomainError, _read_ints, _trusted, check_coords, check_level, check_pair
+from .errors import DomainError, _read_ints, _trusted, check_coords, check_level, check_pair, check_scan
 from .partitions import Partition
 
 Word = tuple[int, ...]
@@ -75,7 +75,8 @@ def chi_on_core(i: int, t: int, lam: Partition, s: int) -> Partition:
 
 
 def apply_word(word: Word, action: str, t: int, p: SPoint) -> SPoint:
-    """Apply a word of generators left to right under psi or chi."""
+    """Apply a word of generators left to right under psi or chi; each
+    generator moves or looks at every one of the s coordinates."""
     if action == "psi":
         check_level(t)
         gen = psi_gen
@@ -84,6 +85,7 @@ def apply_word(word: Word, action: str, t: int, p: SPoint) -> SPoint:
         gen = chi_gen
     else:
         raise DomainError(f"action must be 'psi' or 'chi', got {action!r}")
+    check_scan(len(word) * p.s, f"word of {len(word)} generators")
     for i in word:
         p = gen(i, t, p)
     return p

@@ -23,8 +23,9 @@ MAX_COORD = 2**62
 # each below n, so the cap also keeps its size below 10**14 < MAX_SIZE.
 MAX_SPAN = 10**7
 # Listing (s,t)-cores draws s-1 entries for each of C(s+t-1, s-1) candidates
-# and lays out fewer than (s-1)t beads for each core; a gallery walk and an
-# alcove diagram build one core per step or alcove.  Each such count of work,
+# and lays out fewer than (s-1)t beads for each core; a gallery walk copies
+# one core per step, an alcove diagram builds one per alcove, and a generator
+# word moves all s coordinates per generator.  Each such count of work,
 # taken from a closed form before the work starts, is capped.
 MAX_SCAN = 10**7
 
@@ -37,6 +38,13 @@ def check_s(s: int) -> None:
     """The number of runners or coordinates: s >= 2."""
     if s < 2:
         raise DomainError(f"need s >= 2, got {s}")
+
+
+def check_modulus(s: int) -> None:
+    """The modulus of a hook length or a runner count, outside the level-t
+    statements: s >= 1."""
+    if s < 1:
+        raise DomainError(f"s must be a positive integer, got {s}")
 
 
 def check_level(t: int) -> None:

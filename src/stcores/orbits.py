@@ -18,6 +18,7 @@ The crucial facts shaped into algorithms here:
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 
@@ -226,14 +227,22 @@ def containment_chain(p: SPoint, s: int, t: int) -> ContainmentChain:
     back to 0.  The first generator it meets is the smallest that qualifies.
 
     Every caller reads the cores (``chain`` prints them, ``verify`` and the
-    tests compare them), so they stay eager; they are built straight from
-    the coordinates, since the walk stays in the rhomboid, whose span (s-1)t
-    ``tip`` has bounded.  The core build is most of the cost of a step.
+    tests compare them), so they stay eager.  Only the start core is built
+    from its first gaps, a span of at most (s-1)t since the walk stays in
+    the rhomboid; every later core is the one before it, grown in place.  A
+    step moves the class-(i-1) gap x to x+1 and the class-i gap y to y-1,
+    which swaps the two runners: exactly the beads at c = x-s, x-2s, ...,
+    c >= y-1 move up one place.  Each keeps its rank, so its row gains one
+    box; the one exception is the top tail bead -(n+1), n the number of
+    rows, which becomes a new last row of length 1.  The row of a bead is
+    found by bisection in the ascending list of k - lambda_k.  So a step
+    costs its scan, O(log n) per moved bead and one tuple copy of the rows.
 
     If no generator ever qualifies before the tip is reached, or a step
-    removes other than exactly one separating wall, or the walk ends away
-    from the tip, the construction itself is falsified, so those states
-    raise rather than being patched over.
+    removes other than exactly one separating wall, or shrinks the core
+    (x < y-1, against Lemma 5.3), or the walk ends away from the tip, the
+    construction itself is falsified, so those states raise rather than
+    being patched over.
     """
     check_pair(s, t)
     if p.s != s:
@@ -250,12 +259,14 @@ def containment_chain(p: SPoint, s: int, t: int) -> ContainmentChain:
         return abs((goal[b] - goal[a]) // s - (coords[b] - coords[a]) // s)
 
     # the wall count looks at every pair once; then each step scans at most s
-    # generators and builds a point and a core of span at most (s-1)t
+    # generators, moves at most t beads and copies a core of span at most (s-1)t
     check_scan(s * (s - 1) // 2, "wall count")
     remaining = sum(walls(a, b) for a, b in combinations(range(s), 2))
     check_scan(remaining * (s + (s - 1) * t), f"gallery walk across {remaining} walls")
     points = [q]
     cores = [_partition_from_first_gaps(q.coords, s)]
+    parts = list(cores[0].parts)
+    minus = [k - part for k, part in enumerate(parts, start=1)]  # -(bead of row k), ascending
     gens: list[int] = []
     i = 0
     while remaining:
@@ -266,8 +277,11 @@ def containment_chain(p: SPoint, s: int, t: int) -> ContainmentChain:
         else:
             raise RuntimeError(f"no generator separates {q} from {target}; walk is stuck")
         before = walls(a, b)
-        coords[a] += 1
-        coords[b] -= 1
+        x, y = coords[a], coords[b]
+        if x < y - 1:
+            raise RuntimeError(f"gallery step {i} at {q} shrinks the core, against Lemma 5.3")
+        coords[a] = x + 1
+        coords[b] = y - 1
         position[i - 1], position[i] = b, a
         if walls(a, b) != before - 1:
             raise RuntimeError("gallery walk crossed more than one separating wall")
@@ -275,7 +289,16 @@ def containment_chain(p: SPoint, s: int, t: int) -> ContainmentChain:
         # chi_1 keeps classes and sum; at most wall-count unit moves keep the bound
         q = _trusted(SPoint, coords=tuple(coords))
         points.append(q)
-        cores.append(_partition_from_first_gaps(q.coords, s))
+        for c in range(x - s, y - 2, -s):
+            if c == -len(parts) - 1:  # the top tail bead: a new last row
+                minus.append(len(parts))
+                parts.append(1)
+            else:
+                k = bisect_left(minus, -c)
+                minus[k] -= 1
+                parts[k] += 1
+        # the bead moves keep the charge-0 abacus of a Young diagram
+        cores.append(_trusted(Partition, parts=tuple(parts)))
         gens.append(i)
         i = i - 1 if 0 < i < s - 1 else 0
     if q != target:

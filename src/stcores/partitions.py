@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
-from .errors import MAX_SIZE, DomainError, _read_ints
+from .errors import MAX_SIZE, DomainError, _read_ints, check_modulus
 
 
 class Box(NamedTuple):
@@ -97,8 +97,7 @@ def hook_lengths(p: Partition) -> dict[Box, int]:
 
 def is_s_core_by_hooks(p: Partition, s: int) -> bool:
     """True iff no hook length is divisible by s."""
-    if s < 1:
-        raise DomainError("s must be a positive integer")
+    check_modulus(s)
     return all(h % s != 0 for h in hook_lengths(p).values())
 
 
@@ -171,8 +170,7 @@ def _removal_result(p: Partition, hook_boxes: tuple[Box, ...]) -> Partition | No
 
 def removable_rim_hooks(p: Partition, s: int) -> list[RimHook]:
     """All rim s-hooks, ordered by their start box (top-right end first)."""
-    if s < 1:
-        raise DomainError("s must be a positive integer")
+    check_modulus(s)
     path = rim_path(p)
     hooks = []
     for start in range(len(path) - s + 1):
@@ -201,10 +199,8 @@ def brute_core(p: Partition, s: int) -> Partition:
 
     Always removes the first hook in ``removable_rim_hooks`` order; the core
     is independent of the choice, so any fixed order is correct and this one
-    makes the oracle deterministic.
+    makes the oracle deterministic.  ``removable_rim_hooks`` checks s.
     """
-    if s < 1:
-        raise DomainError("s must be a positive integer")
     while True:
         hooks = removable_rim_hooks(p, s)
         if not hooks:
@@ -233,8 +229,9 @@ def removable_boxes(p: Partition) -> list[Box]:
 
 def boxes_of_residue(p: Partition, k: int, s: int, mode: str) -> set[Box]:
     """Addable or removable boxes whose residue (col - row) mod s equals k."""
-    if s < 1 or not 0 <= k < s:
-        raise DomainError("need s >= 1 and 0 <= k < s")
+    check_modulus(s)
+    if not 0 <= k < s:
+        raise DomainError(f"residue {k} out of range for s={s}")
     if mode == "addable":
         candidates = addable_boxes(p)
     elif mode == "removable":

@@ -295,11 +295,23 @@ def test_enumerate_is_iterative_and_capped(capsys):
     assert err.startswith("stcores:") and len(err.splitlines()) == 1
 
 
+def test_act_under_its_cap_applies_every_generator(capsys):
+    """499 generators on 500 coordinates is 249,500 moves, under the cap.  Generator 1
+    of chi_1 trades the values 0 and 1 between their two coordinates, so an odd
+    count of them swaps the first two."""
+    n = 500
+    code, out, _ = run_cli(capsys, "act", "chi", "--t", "1", "--word", " ".join(["1"] * (n - 1)),
+                           "(" + ",".join(map(str, range(n))) + ")")
+    assert (code, out) == (0, "(" + ",".join(map(str, (1, 0, *range(2, n)))) + ")\n")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         # C(401, 3) = 10,706,800 walls from the origin to the tip, cores of span up to 159,600
         ["chain", "--s", "400", "--t", "401", "(" + ",".join(map(str, range(400))) + ")"],
+        # 20,000 generators, each moving 20,000 coordinates: 4e8
+        ["act", "chi", "--t", "1", "--word", " ".join(["1"] * 20000), "(" + ",".join(map(str, range(20000))) + ")"],
         # 2.5e9 alcoves
         ["diagram", "--s", "3", "--depth", "100000"],
         # (6, 59) alone: 5 C(65, 6) = 4.1e8 candidate entries and core beads
@@ -312,6 +324,7 @@ def test_enumerate_is_iterative_and_capped(capsys):
     ],
     ids=[
         "chain-400-401",
+        "act-chi-20000-generators-on-20000-coordinates",
         "diagram-depth-100000",
         "verify-vandehey-t-max-60",
         "verify-actions-s-max-40",
@@ -320,7 +333,7 @@ def test_enumerate_is_iterative_and_capped(capsys):
     ],
 )
 def test_oversize_walks_and_diagrams_are_refused_up_front(capsys, argv):
-    """Walks, diagrams and verify runs are refused from closed-form counts, before any step."""
+    """Walks, words, diagrams and verify runs are refused from closed-form counts, before any step."""
     previous = signal.signal(signal.SIGALRM, _on_alarm)
     signal.alarm(10)
     try:

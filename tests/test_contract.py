@@ -18,7 +18,15 @@ from stcores.alcoves import (
     simplex_vertices,
 )
 from stcores.orbits import containment_chain
-from stcores.partitions import Partition, from_text
+from stcores.abacus import core, is_s_core
+from stcores.partitions import (
+    Partition,
+    boxes_of_residue,
+    brute_core,
+    from_text,
+    is_s_core_by_hooks,
+    removable_rim_hooks,
+)
 
 ORIGIN_SSET_3 = make_sset(3, range(3))
 
@@ -66,4 +74,23 @@ BOUNDARY_CASES = {
 @pytest.mark.parametrize("build", BOUNDARY_CASES.values(), ids=BOUNDARY_CASES.keys())
 def test_boundary_rejects_invalid_values(build):
     with pytest.raises(DomainError):
+        build()
+
+
+S_BELOW_1_CASES = {
+    # the abacus side, through _packed_first_gaps
+    "core": lambda: core(Partition((2, 1)), 0),
+    "is_s_core": lambda: is_s_core(Partition((2, 1)), -1),
+    # the hook side
+    "is_s_core_by_hooks": lambda: is_s_core_by_hooks(Partition((2, 1)), 0),
+    "removable_rim_hooks": lambda: removable_rim_hooks(Partition((2, 1)), 0),
+    "brute_core": lambda: brute_core(Partition((2, 1)), -3),
+    "boxes_of_residue": lambda: boxes_of_residue(Partition((2, 1)), 0, 0, "addable"),
+}
+
+
+@pytest.mark.parametrize("build", S_BELOW_1_CASES.values(), ids=S_BELOW_1_CASES.keys())
+def test_s_below_1_is_one_check(build):
+    """The abacus and the hook oracles refuse s < 1 with the one errors.check_modulus message."""
+    with pytest.raises(DomainError, match=r"^s must be a positive integer, got -?\d+$"):
         build()

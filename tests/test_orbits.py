@@ -442,6 +442,32 @@ def test_chain_from_origin_at_20_21():
     assert chain.cores[-1] == kappa(s, t)
     assert size(chain.cores[-1]) == (s * s - 1) * (t * t - 1) // 24
     assert all(contains(b, a) for a, b in zip(chain.cores, chain.cores[1:]))
+    _assert_cores_are_rebuilt_cores(chain)
+
+
+def _assert_cores_are_rebuilt_cores(chain):
+    """Each core grown in place along the walk is the core rebuilt from its point."""
+    for k, (p, lam) in enumerate(zip(chain.points, chain.cores)):
+        assert lam == core_from_s_set(sset_of_point(p)), (p, k)
+
+
+@pytest.mark.parametrize("s", range(2, 13))
+def test_chain_cores_from_origin_equal_rebuilt_cores(s):
+    """A walk from the origin starts at the empty core, so its cores gain new
+    rows from the abacus tail as well as boxes on existing rows."""
+    chain = containment_chain(origin(s), s, s + 1)
+    assert chain.cores[0] == P() and len(chain.cores[-1]) >= 1
+    _assert_cores_are_rebuilt_cores(chain)
+
+
+def test_chain_raises_on_a_shrinking_step(monkeypatch):
+    """With the walk aimed at the origin instead of the tip, its steps shrink the
+    core, which Lemma 5.3 rules out for a walk to the tip; the walk raises."""
+    from stcores import orbits
+
+    monkeypatch.setattr(orbits, "tip", lambda s, t: origin(s))
+    with pytest.raises(RuntimeError, match="Lemma 5.3"):
+        containment_chain(tip(3, 4), 3, 4)
 
 
 def test_chain_is_refused_beyond_its_cap():
