@@ -12,7 +12,7 @@ import json
 import sys
 
 from . import abacus, affine_actions as act, alcoves, diagram, orbits, partitions as parts
-from .errors import DomainError
+from .errors import DomainError, check_scan
 from .verify import SUITES, run_suites
 
 
@@ -23,25 +23,38 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _envelope(input_obj, result, s, t) -> dict:
+    return {"input": input_obj, "result": result, "meta": {"s": s, "t": t}}
+
+
 def _emit(args, input_obj, result, s=None, t=None, plain=None) -> None:
     if args.json:
-        payload = {"input": input_obj, "result": result, "meta": {"s": s, "t": t}}
-        print(json.dumps(payload))
+        print(json.dumps(_envelope(input_obj, result, s, t)))
     else:
         for line in plain if plain is not None else [result]:
             print(line)
 
 
-def _step_records(steps):
-    """One {"step", "gen", "sset", "core"} record per (generator, s-set, core) step."""
-    return [
-        {"step": n, "gen": i, "sset": abacus.sset_to_text(q), "core": parts.to_text(core)}
-        for n, (i, q, core) in enumerate(steps, start=1)
-    ]
+def _emit_steps(args, input_obj, final_key, final, steps, s, t) -> None:
+    """Write each (generator, s-set, core) step as it comes, then the final core.
 
-
-def _step_lines(records):
-    return [f"step {r['step']}: gen={r['gen']} sset={r['sset']} core={r['core']}" for r in records]
+    Plain output is one line per step and the final core last.  With --json
+    the envelope goes out in pieces, one {"step", "gen", "sset", "core"}
+    record per step, that add up to json.dumps of the whole payload.
+    """
+    write = sys.stdout.write  # looked up per call, so a redirected stdout is honoured
+    if args.json:
+        # only meta's ints follow the steps list, so its "[]" is the last one
+        envelope = _envelope(input_obj, {final_key: final, "steps": []}, s, t)
+        head, _, tail = json.dumps(envelope).rpartition("[]")
+        write(head + "[")
+    for n, (i, q, core) in enumerate(steps, start=1):
+        record = {"step": n, "gen": i, "sset": abacus.sset_to_text(q), "core": parts.to_text(core)}
+        if args.json:
+            write((", " if n > 1 else "") + json.dumps(record))
+        else:
+            write("step {step}: gen={gen} sset={sset} core={core}\n".format_map(record))
+    write("]" + tail + "\n" if args.json else final + "\n")
 
 
 def _cmd_core(args) -> int:
@@ -95,34 +108,25 @@ def _cmd_enumerate(args) -> int:
 def _cmd_orbit_min(args) -> int:
     lam = parts.from_text(args.partition)
     nu, trace = orbits.descend_to_t_core(lam, args.s, args.t)
-    records = _step_records((i, q, abacus.core_from_s_set(q)) for i, q in trace.steps)
-    _emit(
-        args,
-        {"partition": args.partition},
-        {"t_core": parts.to_text(nu), "steps": records},
-        s=args.s,
-        t=args.t,
-        plain=_step_lines(records) + [parts.to_text(nu)],
-    )
+    # a step prints its s elements and rebuilds its core across the s-set's
+    # span: bound the steps, then the replayed spans, before the first byte
+    check_scan(len(trace) * args.s, "descent printout")
+    check_scan(sum(args.s + max(q.elements) - min(q.elements) for _, q in trace.iter_steps()),
+               "descent printout")
+    steps = ((i, q, abacus.core_from_s_set(q)) for i, q in trace.iter_steps())
+    _emit_steps(args, {"partition": args.partition}, "t_core", parts.to_text(nu), steps, args.s, args.t)
     return 0
 
 
 def _cmd_chain(args) -> int:
     point = alcoves.point_from_text(args.point)
     chain = orbits.containment_chain(point, args.s, args.t)
-    records = _step_records(
+    steps = (
         (i, alcoves.sset_of_point(p), core)
         for i, p, core in zip(chain.gens, chain.points[1:], chain.cores[1:])
     )
-    final = parts.to_text(chain.cores[-1])
-    _emit(
-        args,
-        {"point": args.point},
-        {"final_core": final, "steps": records},
-        s=args.s,
-        t=args.t,
-        plain=_step_lines(records) + [final],
-    )
+    _emit_steps(args, {"point": args.point}, "final_core", parts.to_text(chain.cores[-1]), steps,
+                args.s, args.t)
     return 0
 
 

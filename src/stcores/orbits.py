@@ -48,9 +48,10 @@ def residue_multiset(q: SSet, t: int) -> tuple[int, ...]:
 class OrbitDescentTrace:
     """Record of a greedy descent: the start and the generator word applied.
 
-    The s-set after each step is not stored; ``steps`` replays the word from
-    ``initial_sset`` each time it is read, so a trace costs one small int per
-    step however large the cores are.
+    The s-set after each step is not stored; ``iter_steps`` replays the word
+    from ``initial_sset`` each time it is called, so a trace costs one small
+    int per step however large the cores are, and a reader that takes one
+    step at a time holds one s-set at a time.
     """
 
     initial_sset: SSet
@@ -67,12 +68,16 @@ class OrbitDescentTrace:
             cycle[i - 1], cycle[i] = b - t, a + t
             yield i, b - a, cycle
 
+    def iter_steps(self):
+        """(generator, s-set after the step) for each step, replayed lazily."""
+        s = self.initial_sset.s
+        # each replayed move is a chi_t move, which keeps the s-set contract
+        return ((i, _trusted(SSet, s=s, elements=frozenset(cycle))) for i, _, cycle in self._replay())
+
     @property
     def steps(self) -> tuple[tuple[int, SSet], ...]:
         """(generator, s-set after the step) for each step, replayed."""
-        s = self.initial_sset.s
-        # each replayed move is a chi_t move, which keeps the s-set contract
-        return tuple((i, _trusted(SSet, s=s, elements=frozenset(cycle))) for i, _, cycle in self._replay())
+        return tuple(self.iter_steps())
 
     def sum_sq_sequence(self) -> list[int]:
         """Sum of squares of the s-set before the first step and after each one;

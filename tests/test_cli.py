@@ -1,12 +1,16 @@
 import io
 import json
+import math
+import random
 import signal
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stcores import cli
+from stcores import abacus, alcoves, cli, orbits, partitions as parts
+from stcores.verify import random_s_core, random_s_point
 
 
 def run_cli(capsys, *argv):
@@ -152,7 +156,6 @@ def test_verify_command(capsys):
 
 
 def test_verify_names_first_chain_failure(capsys, monkeypatch):
-    from stcores import orbits
     from stcores.alcoves import rhomboid_points
 
     real = orbits.containment_chain
@@ -191,7 +194,6 @@ def test_verify_is_deterministic_under_seed(capsys):
 
 
 def test_round_trip_of_output_text(capsys):
-    from stcores import abacus, partitions as parts
     from stcores.alcoves import point_from_text
 
     _, out, _ = run_cli(capsys, "core", "--s", "5", "6,6,2,1")
@@ -321,6 +323,12 @@ def test_act_under_its_cap_applies_every_generator(capsys):
         ["verify", "--suite", "olsson", "--trials", "3000000"],
         # 272 corpus partitions against s up to 3000
         ["verify", "--suite", "core-oracle", "--s-max", "3000"],
+        # 5,000 steps of 10,001 elements each: 5.0e7
+        ["orbit-min", "--s", "10001", "--t", "2", "10000"],
+        # 50,000 steps of 100,001 elements each: 5.0e9
+        ["orbit-min", "--s", "100001", "--t", "2", "100000"],
+        # the 4,500-row staircase: 9,000 elements in all, but cores of spans summing to 2.0e7
+        ["orbit-min", "--s", "2", "--t", "1", ",".join(map(str, range(4500, 0, -1)))],
     ],
     ids=[
         "chain-400-401",
@@ -330,10 +338,14 @@ def test_act_under_its_cap_applies_every_generator(capsys):
         "verify-actions-s-max-40",
         "verify-olsson-trials-3000000",
         "verify-core-oracle-s-max-3000",
+        "orbit-min-10001-2",
+        "orbit-min-100001-2",
+        "orbit-min-2-1-staircase-4500",
     ],
 )
 def test_oversize_walks_and_diagrams_are_refused_up_front(capsys, argv):
-    """Walks, words, diagrams and verify runs are refused from closed-form counts, before any step."""
+    """Walks, words, diagrams, verify runs and descent printouts are refused from
+    closed-form counts or a replay of the word, before any step is printed."""
     previous = signal.signal(signal.SIGALRM, _on_alarm)
     signal.alarm(10)
     try:
@@ -344,3 +356,114 @@ def test_oversize_walks_and_diagrams_are_refused_up_front(capsys, argv):
     assert (code, out) == (2, "")
     assert err.startswith("stcores:") and "exceeds the cap of 10000000" in err
     assert len(err.splitlines()) == 1
+
+
+def test_orbit_min_under_its_cap_prints_every_step(capsys):
+    """(1000) descends at (1001, 2) in 500 steps, 1.5e6 units of printing: admitted."""
+    previous = signal.signal(signal.SIGALRM, _on_alarm)
+    signal.alarm(10)
+    try:
+        code, out, err = run_cli(capsys, "orbit-min", "--s", "1001", "--t", "2", "1000")
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert (code, err) == (0, "")
+    lines = out.split("\n")
+    assert len(lines) == 502 and lines[-2:] == ["", ""]  # 500 steps, the empty 2-core
+    assert all(line.startswith(f"step {n}: gen=") for n, line in enumerate(lines[:500], start=1))
+
+
+def _old_step_output(json_mode, input_obj, final_key, final, steps, s, t):
+    """The output as it was built before streaming: every step at once, then
+    one print of the whole text or of json.dumps of the whole payload."""
+    records = [
+        {"step": n, "gen": i, "sset": abacus.sset_to_text(q), "core": parts.to_text(core)}
+        for n, (i, q, core) in enumerate(steps, start=1)
+    ]
+    if json_mode:
+        payload = {"input": input_obj, "result": {final_key: final, "steps": records}, "meta": {"s": s, "t": t}}
+        return json.dumps(payload) + "\n"
+    lines = [f"step {r['step']}: gen={r['gen']} sset={r['sset']} core={r['core']}" for r in records]
+    return "".join(line + "\n" for line in [*lines, final])
+
+
+def _streamed(argv):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert cli.main(argv) == 0
+    return out.getvalue()
+
+
+def _reference_orbit_min(lam, s, t, json_mode):
+    nu, trace = orbits.descend_to_t_core(lam, s, t)
+    steps = [(i, q, abacus.core_from_s_set(q)) for i, q in trace.steps]
+    return _old_step_output(json_mode, {"partition": parts.to_text(lam)}, "t_core", parts.to_text(nu),
+                            steps, s, t)
+
+
+def _reference_chain(point_text, s, t, json_mode):
+    chain = orbits.containment_chain(alcoves.point_from_text(point_text), s, t)
+    steps = [(i, alcoves.sset_of_point(p), core) for i, p, core in zip(chain.gens, chain.points[1:], chain.cores[1:])]
+    return _old_step_output(json_mode, {"point": point_text}, "final_core", parts.to_text(chain.cores[-1]),
+                            steps, s, t)
+
+
+def test_streamed_steps_equal_the_whole_payload_built_at_once():
+    """orbit-min and chain, plain and --json, byte for byte against the old
+    construction on seeded s-cores, s <= 9 and coprime t <= 11.  The t-core of
+    each seeded core gives the zero-step descent and, as a rhomboid point, a
+    chain start; the tip gives the zero-step chain."""
+    rng = random.Random("streamed-steps")
+    for s in range(2, 10):
+        for t in (t for t in range(1, 12) if math.gcd(s, t) == 1):
+            nu = None
+            for _ in range(2):
+                lam = random_s_core(rng, s, 400)
+                nu = orbits.descend_to_t_core(lam, s, t)[0]
+                for start in (lam, nu):
+                    argv = ["orbit-min", "--s", str(s), "--t", str(t), parts.to_text(start)]
+                    for json_mode in (False, True):
+                        got = _streamed(argv + ["--json"] * json_mode)
+                        assert got == _reference_orbit_min(start, s, t, json_mode), argv
+            rhomboid = alcoves.point_of_sset(abacus.q_set(nu, s))
+            for point in (rhomboid, alcoves.tip(s, t)):
+                point_text = alcoves.point_to_text(point)
+                argv = ["chain", "--s", str(s), "--t", str(t), point_text]
+                for json_mode in (False, True):
+                    got = _streamed(argv + ["--json"] * json_mode)
+                    assert got == _reference_chain(point_text, s, t, json_mode), argv
+    for argv in (["orbit-min", "--s", "3", "--t", "4", "3,1,1"], ["chain", "--s", "3", "--t", "4", "(-3,1,5)"]):
+        assert '"steps": []' in _streamed(argv + ["--json"])
+
+
+class _Discard(io.TextIOBase):
+    """A text sink that keeps only the count of characters written to it."""
+
+    written = 0
+
+    def write(self, text):
+        self.written += len(text)
+        return len(text)
+
+
+def test_orbit_min_holds_one_core_at_a_time():
+    """A 1.3e6-box 7-core descends at t = 9 in 666 steps and prints about 1.9 MB;
+    written to a discarding sink, the traced peak stays below a quarter of that.
+    Holding every step's core and line at once took 2.2x (plain) and 4.3x
+    (--json) of the output size."""
+    q = abacus.make_sset(7, random_s_point(random.Random("stream:2"), 7, 300).coords)
+    argv = ["orbit-min", "--s", "7", "--t", "9", parts.to_text(abacus.core_from_s_set(q))]
+    for json_mode in (False, True):
+        # a small run first, so one-off caches (argparse, json) are not counted
+        with redirect_stdout(_Discard()):
+            cli.main(["orbit-min", "--s", "3", "--t", "4", "4,2,1,1"] + ["--json"] * json_mode)
+        sink = _Discard()
+        tracemalloc.start()
+        try:
+            with redirect_stdout(sink):
+                assert cli.main(argv + ["--json"] * json_mode) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sink.written > 1_500_000, json_mode
+        assert peak < sink.written / 4, (json_mode, peak, sink.written)

@@ -17,6 +17,9 @@ from stcores import cli
 _ORIGIN_15 = "(" + ",".join(str(c) for c in range(15)) + ")"
 # the first seeded (13,15) start of the walk tests in test_orbits.py: 217 steps
 _SEEDED_13 = "(-30,-24,-23,-19,-14,-12,0,11,18,30,36,47,58)"
+# the 7-core with s-set [-61,-57,-38,-18,-13,61,147]: 31 descent steps at t = 9
+_CORE_7 = ("141,135,129,123,117,111,105,99,93,87,81,75,69,68,64,63,59,58,54,53,49,48,44,43,"
+           "39,38,34,33,29,28,24,23,19,18,15,15,14,13,12,12,11,10,9,9,8,7,6,6,5,5,5,4,4,3,3,3,2,2,1,1,1")
 
 # (argv, sha256 of plain stdout, sha256 of --json stdout); each exits 0 with empty stderr.
 # The README examples (diagram without --out) come first, then larger cases.
@@ -69,6 +72,13 @@ GOLDEN = [
     (['diagram', '--s', '3', '--t', '4', '--depth', '12', '--mode', 'tcores'],
      'ea646de5f1288d874507380813bd568b731657e22e22cb7d10ded50d4237f642',
      '95930b152c8f40f6d6d722070ec1835c2cbec05168b41d3d9f794e4adfb46d86'),
+    (['orbit-min', '--s', '7', '--t', '9', _CORE_7],
+     '56b1daba1e54465b55a2ae4ea385b8861f74cd26748a366277fd8138825c9dc5',
+     'd5d82a68108d29b945aadd2e3fd8bcc2fd748b8a2636b0bde2697f80ae9cdc1b'),
+    # the tip of (3,4): no steps, and "steps": [] in the envelope
+    (['chain', '--s', '3', '--t', '4', '(-3,1,5)'],
+     '751bc88f91111d0040a8878aa8c63eab5b6091ea729d7a0e011fe5ba730480af',
+     '709d568acb796732844c5934e6d94805d4aa629a91110c3dc3de5dc43fd7cf22'),
 ]
 
 
