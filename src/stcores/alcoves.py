@@ -9,7 +9,6 @@ s-point inside an alcove (equivalently its floor-vector key) is its identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, product
 
 from .abacus import SSet
@@ -203,6 +202,8 @@ def simplex_vertices(s: int, t: int) -> list[tuple[Fraction, ...]]:
 
     Half-integral when s is even, hence exact Fractions rather than SPoints.
     """
+    from fractions import Fraction  # imported here, its only use, to keep it off start-up
+
     check_s(s)
     check_level(t)
     base = Fraction(s - 1, 2)

@@ -1,19 +1,24 @@
 """Command-line surface.
 
-Exit codes: 0 success, 1 usage error, 2 domain error (malformed input,
-non-coprime pair, unsupported s), 3 verification failure.  Every command
-accepts --json and then emits {"input": ..., "result": ..., "meta": ...}.
+Exit codes: 0 success, 1 usage error or closed output, 2 domain error
+(malformed input, non-coprime pair, unsupported s), 3 verification
+failure.  Every command accepts --json and then emits {"input": ...,
+"result": ..., "meta": ...}.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import os
 import sys
 
-from . import abacus, affine_actions as act, alcoves, diagram, orbits, partitions as parts
+# diagram, verify and json are imported by the commands that use them, so the
+# others neither compile nor import them at start-up
+from . import abacus, affine_actions as act, alcoves, orbits, partitions as parts
 from .errors import DomainError, check_scan
-from .verify import SUITES, run_suites
+
+# verify.SUITES' names, in the order `--suite all` runs them
+_SUITES = ("core-oracle", "actions", "olsson", "vandehey")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -29,6 +34,8 @@ def _envelope(input_obj, result, s, t) -> dict:
 
 def _emit(args, input_obj, result, s=None, t=None, plain=None) -> None:
     if args.json:
+        import json
+
         print(json.dumps(_envelope(input_obj, result, s, t)))
     else:
         for line in plain if plain is not None else [result]:
@@ -44,6 +51,8 @@ def _emit_steps(args, input_obj, final_key, final, steps, s, t) -> None:
     """
     write = sys.stdout.write  # looked up per call, so a redirected stdout is honoured
     if args.json:
+        import json
+
         # only meta's ints follow the steps list, so its "[]" is the last one
         envelope = _envelope(input_obj, {final_key: final, "steps": []}, s, t)
         head, _, tail = json.dumps(envelope).rpartition("[]")
@@ -135,7 +144,9 @@ def _cmd_verify(args) -> int:
         print("stcores verify: error: --s-max and --t-max must be at least 2, --trials at least 1",
               file=sys.stderr)
         return 1
-    names = list(SUITES) if args.suite == "all" else [args.suite]
+    from .verify import run_suites
+
+    names = list(_SUITES) if args.suite == "all" else [args.suite]
     checks = run_suites(names, args.s_max, args.t_max, args.seed, args.trials)
     rows = [{"check": name, "pass": ok, "detail": detail} for name, ok, detail in checks]
     width = max(len(name) for name, _, _ in checks)
@@ -151,6 +162,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_diagram(args) -> int:
+    from . import diagram
+
     spec = diagram.RenderSpec(s=args.s, depth=args.depth, mode=args.mode, t=args.t)
     svg = diagram.render_svg(spec)
     if args.out:
@@ -210,7 +223,7 @@ def _build_parser() -> _Parser:
     p.add_argument("point")
 
     p = add("verify", _cmd_verify, help="run invariant suites")
-    p.add_argument("--suite", choices=[*SUITES, "all"], default="all")
+    p.add_argument("--suite", choices=[*_SUITES, "all"], default="all")
     p.add_argument("--s-max", type=int, default=6)
     p.add_argument("--t-max", type=int, default=7)
     p.add_argument("--seed", type=int, default=0)
@@ -230,10 +243,19 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed output is then seen here, not at exit
+        return code
     except DomainError as exc:
         print(f"stcores: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader went away: send what is still buffered to devnull, so the
+        # interpreter's last flush is silent (the recipe in the signal docs)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
 
 
 if __name__ == "__main__":

@@ -74,9 +74,9 @@ def check_span(span: int) -> None:
 
 
 def check_scan(work: int, what: str) -> None:
-    """A scan, walk or rendering (named by what) of at most MAX_SCAN steps."""
+    """A scan, walk or rendering (named by what) of at most MAX_SCAN units of work."""
     if work > MAX_SCAN:
-        raise DomainError(f"{what} of {work} steps exceeds the cap of {MAX_SCAN}")
+        raise DomainError(f"{what} of {work} units of work exceeds the cap of {MAX_SCAN}")
 
 
 def check_s_set(s: int, elements) -> None:

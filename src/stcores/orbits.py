@@ -31,6 +31,7 @@ from .alcoves import (
     tip,
 )
 from .affine_actions import _check_generator, _t_cycle, chi_on_sset
+from . import errors
 from .errors import DomainError, _trusted, check_level, check_pair, check_scan, check_span
 from .partitions import Partition
 
@@ -116,6 +117,7 @@ def descend_to_t_core(lam: Partition, s: int, t: int) -> tuple[Partition, OrbitD
     q = q_set(lam, s)  # validates that lam is an s-core
     cycle = _t_cycle(q.elements, s, t)
     gens: list[int] = []
+    cap = errors.MAX_SCAN  # read per call, so a test can lower it
     i = 0
     while i < s:
         a, b = cycle[i - 1], cycle[i]
@@ -123,6 +125,8 @@ def descend_to_t_core(lam: Partition, s: int, t: int) -> tuple[Partition, OrbitD
             # a chi_t move: a + t and b - t trade classes, keep the sum, lie between a and b
             cycle[i - 1], cycle[i] = b - t, a + t
             gens.append(i)
+            if len(gens) > cap:  # each step is O(1), so this bounds the time
+                check_scan(len(gens), "descent")
             i = i - 1 if 0 < i < s - 1 else 0
         else:
             i += 1

@@ -6,7 +6,7 @@ from itertools import combinations
 import pytest
 
 from conftest import brute_st_cores, st_cores_by_difference_scan
-from stcores import DomainError
+from stcores import DomainError, errors
 from stcores.abacus import core, core_from_s_set, is_s_core, make_sset, q_set, size_from_s_set
 from stcores.affine_actions import chi_gen, chi_on_core, chi_on_sset
 from stcores.alcoves import (
@@ -176,6 +176,21 @@ def test_descent_trace_keeps_no_s_sets():
     assert (size(lam), len(trace)) == (8_904_825_910, 63_681)
     assert peak < 20 * 2**20
     assert nu == core(lam, t)
+
+
+def test_descent_is_refused_once_its_steps_pass_the_cap(monkeypatch):
+    """A step is one unit of work: a descent of n steps runs under a cap of n,
+    and under a lower cap it stops at the first step past it."""
+    s, t = 7, 9
+    lam = core_from_s_set(make_sset(s, random_s_point(random.Random("descent-cap"), s, 200).coords))
+    nu, trace = descend_to_t_core(lam, s, t)
+    n = len(trace)
+    assert n > 100
+    monkeypatch.setattr(errors, "MAX_SCAN", n)
+    assert descend_to_t_core(lam, s, t) == (nu, trace)
+    monkeypatch.setattr(errors, "MAX_SCAN", n // 2)
+    with pytest.raises(DomainError, match=f"^descent of {n // 2 + 1} units of work exceeds the cap of {n // 2}$"):
+        descend_to_t_core(lam, s, t)
 
 
 def test_same_level_t_orbit_examples():

@@ -1,0 +1,110 @@
+"""What a CLI call loads at start-up, and how it ends when its reader goes away.
+
+Each test runs a fresh interpreter, since the test process has imported
+every module already.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import stcores
+from stcores import cli, verify
+
+SRC = str(Path(stcores.__file__).resolve().parent.parent)
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+
+# Run the package's __main__ on the argv, then on the argv with --json, and
+# print the modules loaded after the first run and those the second one added.
+CHILD = """
+import runpy, sys
+
+def run(argv):
+    sys.argv = ["stcores", *argv]
+    try:
+        runpy.run_module("stcores", run_name="__main__")
+    except SystemExit as exc:
+        if exc.code:
+            raise
+    return set(sys.modules)
+
+argv = sys.argv[1:]
+plain = run(argv)
+with_json = run([*argv, "--json"])
+print()
+print(" ".join(sorted(plain)))
+print(" ".join(sorted(with_json - plain)))
+"""
+
+COMMANDS = [
+    ["count", "--s", "3", "--t", "4"],
+    ["kappa", "--s", "3", "--t", "4"],
+    ["qset", "--s", "5", "5,2,2,1"],
+    ["core", "--s", "5", "6,6,2,1"],
+    ["act", "chi", "--t", "4", "--word", "0", "(0,1,2)"],
+    ["chain", "--s", "3", "--t", "4", "(0,1,2)"],
+    ["enumerate", "--s", "2", "--t", "3"],
+    ["orbit-min", "--s", "3", "--t", "4", "4,2,1,1"],
+]
+ONLY_WHERE_USED = {"stcores.diagram", "stcores.verify", "fractions", "json"}
+
+
+def _run(argv, **kwargs):
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=ENV, timeout=60,
+                          **kwargs)
+
+
+@pytest.fixture(scope="module")
+def bare_modules():
+    """What the bare interpreter loads; site hooks may preload some modules."""
+    proc = _run(["-c", "import sys; print(' '.join(sorted(sys.modules)))"], check=True)
+    return set(proc.stdout.split())
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: argv[0])
+def test_commands_import_only_what_they_run(argv, bare_modules):
+    proc = _run(["-c", CHILD, *argv])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    plain, added = (set(line.split()) for line in proc.stdout.split("\n")[-3:-1])
+    assert sorted((plain & ONLY_WHERE_USED) - bare_modules) == []
+    # --json adds the json package (json, json.decoder, ..., _json) and nothing else
+    assert {name.lstrip("_").partition(".")[0] for name in added} <= {"json"}
+    assert "json" in plain | added
+
+
+def test_suite_names_are_verify_suites_in_order():
+    assert cli._SUITES == tuple(verify.SUITES)
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--s", "8", "--t", "11"],  # 3,978 lines, about 150 KB
+    ["orbit-min", "--s", "1001", "--t", "2", "1000"],  # 501 long lines
+])
+def test_closed_output_exits_1_without_a_traceback(argv):
+    """As `stcores ... | head -n 1`: the reader takes one line and closes its
+    end while the command still has more to write than the pipe holds."""
+    proc = subprocess.Popen([sys.executable, "-m", "stcores", *argv], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=ENV)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert first and (proc.returncode, err) == (1, b"")
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_output_closed_before_the_first_byte_exits_1_without_a_traceback(unbuffered):
+    """Unbuffered, the first print meets the closed pipe; buffered, a short
+    output is written by the last flush, which main does itself, so that one
+    does not happen at interpreter exit either."""
+    env = dict(ENV, PYTHONUNBUFFERED=unbuffered)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "stcores", "kappa", "--s", "3", "--t", "4"],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, b"")
