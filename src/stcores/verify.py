@@ -14,7 +14,7 @@ from typing import Callable
 from . import abacus, affine_actions as act, orbits, partitions as parts
 from .abacus import core_from_s_set, q_set, size_from_s_set
 from .alcoves import SPoint, alcove_key, origin, rhomboid_points, separating_hyperplanes
-from .errors import check_scan
+from .errors import DomainError, check_scan
 from .partitions import Partition
 
 Check = tuple[str, bool, str]
@@ -47,22 +47,41 @@ def _corpus_max(trials: int) -> int:
     return min(16, max(8, trials // 16))
 
 
+def _brute_cores(corpus: list[Partition], s_max: int):
+    """Yield (p, [(s, rim s-hooks of p, brute_core(p, s)) for s = 1..s_max]) for
+    each p of the corpus, removing one rim hook per (p, s).
+
+    brute_core(p, s) is brute_core(remove_rim_hook(p, hooks[0]), s), or p when
+    there is no hook.  The corpus comes in order of size, so the core of the
+    smaller partition is already in the memo.
+    """
+    memo: dict[tuple[Partition, int], Partition] = {}
+    for p in corpus:
+        row = []
+        for s in range(1, s_max + 1):
+            hooks = parts.removable_rim_hooks(p, s)
+            core = memo[parts.remove_rim_hook(p, hooks[0]), s] if hooks else p
+            memo[p, s] = core
+            row.append((s, hooks, core))
+        yield p, row
+
+
 def suite_core_oracle(s_max: int, t_max: int, seed: int, trials: int) -> list[Check]:
     size_max = _corpus_max(trials)
     corpus = list(parts.partitions_up_to(size_max))
     bad_core = []
     bad_flag = []
     bad_beta = []
-    for p in corpus:
+    for p, row in _brute_cores(corpus, s_max):
         if abacus.partition_from_beta_set(abacus.beta_set(p)) != p:
             bad_beta.append(p)
-        for s in range(1, s_max + 1):
-            if abacus.core(p, s) != parts.brute_core(p, s):
+        lengths = parts.hook_lengths(p).values()
+        for s, hooks, oracle_core in row:
+            if abacus.core(p, s) != oracle_core:
                 bad_core.append((p, s))
-            hooks_say = parts.is_s_core_by_hooks(p, s)
-            if hooks_say != abacus.is_s_core(p, s) or hooks_say != (
-                not parts.removable_rim_hooks(p, s)
-            ):
+            # the body of parts.is_s_core_by_hooks, on hook lengths computed once per p
+            hooks_say = all(h % s != 0 for h in lengths)
+            if hooks_say != abacus.is_s_core(p, s) or hooks_say != (not hooks):
                 bad_flag.append((p, s))
     scale = f"|p| <= {size_max}, s <= {s_max}"
     return [
@@ -73,17 +92,19 @@ def suite_core_oracle(s_max: int, t_max: int, seed: int, trials: int) -> list[Ch
 
 
 def _relation_failures(gen: Callable[[int, SPoint], SPoint], s: int, p: SPoint) -> bool:
+    # generators are pure, so each single image is computed once and shared
+    once = [gen(i, p) for i in range(s)]
     for i in range(s):
-        if gen(i, gen(i, p)) != p:
+        if gen(i, once[i]) != p:
             return True
     for i in range(s):
         for j in range(i + 1, s):
             near = (i - j) % s in (1, s - 1)
             if not near:
-                if gen(i, gen(j, p)) != gen(j, gen(i, p)):
+                if gen(i, once[j]) != gen(j, once[i]):
                     return True
             elif (j + 1) % s != (j - 1) % s:
-                if gen(i, gen(j, gen(i, p))) != gen(j, gen(i, gen(j, p))):
+                if gen(i, gen(j, once[i])) != gen(j, gen(i, once[j])):
                     return True
     return False
 
@@ -124,14 +145,18 @@ def suite_actions(s_max: int, t_max: int, seed: int, trials: int) -> list[Check]
     ]
 
 
-def suite_olsson(s_max: int, t_max: int, seed: int, trials: int) -> list[Check]:
-    rng = random.Random(seed)
-    pairs = [
+def _olsson_pairs(s_max: int, t_max: int) -> list[tuple[int, int]]:
+    return [
         (s, t)
         for s in range(2, s_max + 1)
         for t in range(2, t_max + 1)
         if math.gcd(s, t) == 1
     ]
+
+
+def suite_olsson(s_max: int, t_max: int, seed: int, trials: int) -> list[Check]:
+    rng = random.Random(seed)
+    pairs = _olsson_pairs(s_max, t_max)
     not_score = 0
     descent_diff = 0
     not_monotone = 0
@@ -249,9 +274,13 @@ _WORK = {
 
 
 def run_suites(names: list[str], s_max: int, t_max: int, seed: int, trials: int) -> list[Check]:
-    """Run the named suites, each refused first if its work passes MAX_SCAN; the
-    work is summed from closed forms in the suite's own order until it does."""
+    """Run the named suites, each refused first if its work passes MAX_SCAN (the
+    work is summed from closed forms in the suite's own order until it does) or,
+    for olsson, if no coprime (s, t) lies under the maxima to draw from."""
     for name in names:
+        if name == "olsson" and not _olsson_pairs(s_max, t_max):
+            raise DomainError(f"verify --suite olsson needs a coprime (s, t) with "
+                              f"2 <= s <= {s_max} and 2 <= t <= {t_max}")
         total = 0
         for term in _WORK[name](s_max, t_max, trials):
             total += term

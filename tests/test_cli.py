@@ -128,6 +128,9 @@ def test_exit_codes(capsys):
         (["diagram", "--s", "3", "--mode", "tcores", "--depth", "2"], 2),
         (["core", "--s", "0", "1"], 2),
         (["qset", "--s", "1", "1"], 2),
+        # olsson draws from the coprime (s, t) with 2 <= s, t <= the maxima: none here
+        (["verify", "--s-max", "2", "--t-max", "2"], 2),
+        (["verify", "--suite", "olsson", "--s-max", "2", "--t-max", "2"], 2),
     ]:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (expected, ""), argv
@@ -153,6 +156,10 @@ def test_verify_command(capsys):
     )
     assert code == 0
     assert all(row["pass"] for row in json.loads(out)["result"])
+    # no coprime pair with s, t >= 2 under the maxima, but vandehey does not need one
+    code, out, err = run_cli(capsys, "verify", "--suite", "vandehey", "--s-max", "2", "--t-max", "2")
+    assert (code, err) == (0, "")
+    assert "FAIL" not in out
 
 
 def test_verify_names_first_chain_failure(capsys, monkeypatch):
@@ -174,6 +181,71 @@ def test_verify_names_first_chain_failure(capsys, monkeypatch):
     s, t, p = bad[0]
     assert row.startswith("FAIL")
     assert row.endswith(f": 2 failures; first (s, t, point) = ({s}, {t}, {p})")
+
+
+def _verify_rows(capsys, *argv):
+    code, out, _ = run_cli(capsys, "verify", *argv)
+    return code, {line.split()[1]: line.split()[0] for line in out.splitlines()[:-1]}
+
+
+def test_core_oracle_catches_one_wrong_bead_slide(capsys, monkeypatch):
+    real = abacus.core
+    wrong = (parts.Partition((5, 3, 1)), 5)  # its 5-core is 2,1,1
+
+    def broken(p, s):
+        return parts.Partition() if (p, s) == wrong else real(p, s)
+
+    monkeypatch.setattr(abacus, "core", broken)
+    code, rows = _verify_rows(capsys, "--suite", "core-oracle")
+    assert code == 3
+    assert rows == {
+        "core-oracle.bead-slide-vs-brute": "FAIL",
+        "core-oracle.s-core-tests-agree": "PASS",
+        "core-oracle.beta-round-trip": "PASS",
+    }
+
+
+def test_core_oracle_catches_one_lying_s_core_test(capsys, monkeypatch):
+    real = abacus.is_s_core
+    liar = (parts.Partition((4, 2, 1, 1)), 3)  # a 3-core
+
+    def broken(p, s):
+        return not real(p, s) if (p, s) == liar else real(p, s)
+
+    monkeypatch.setattr(abacus, "is_s_core", broken)
+    code, rows = _verify_rows(capsys, "--suite", "core-oracle")
+    assert code == 3
+    assert rows["core-oracle.s-core-tests-agree"] == "FAIL"
+    assert rows["core-oracle.bead-slide-vs-brute"] == "PASS"
+
+
+def test_actions_catch_a_generator_that_is_not_an_involution(capsys, monkeypatch):
+    from stcores import affine_actions
+
+    real = affine_actions.chi_gen
+
+    def broken(i, t, p):
+        image = real(i, t, p)
+        # at s = 4, generator 1 also applies generator 2: twice it is no longer the identity
+        return real(2, t, image) if (i, p.s) == (1, 4) else image
+
+    monkeypatch.setattr(affine_actions, "chi_gen", broken)
+    code, rows = _verify_rows(capsys, "--suite", "actions")
+    assert code == 3
+    assert rows["actions.relations-chi"] == "FAIL"
+    assert rows["actions.relations-psi"] == "PASS"
+
+
+def test_core_oracle_memo_equals_brute_core():
+    """Every (p, s) of the default corpus, |p| <= 12 and s <= 6, against the
+    oracle run from scratch: the memo removes one rim hook per pair."""
+    from stcores.verify import _brute_cores
+
+    corpus = list(parts.partitions_up_to(12))
+    pairs = [(p, s, core) for p, row in _brute_cores(corpus, 6) for s, _, core in row]
+    assert len(pairs) == 1632
+    for p, s, core in pairs:
+        assert core == parts.brute_core(p, s), (p, s)
 
 
 def test_verify_all_defaults_is_fast_and_green(capsys):
