@@ -8,7 +8,10 @@ The crucial facts shaped into algorithms here:
   level-t rhomboid;
 * the (s,t)-cores are exactly the s-cores whose dominant point lies in the
   rhomboid and whose s-set satisfies the bead-closure condition for t, which
-  lets them be enumerated without ever scanning partitions;
+  lets them be counted by a scan of runner gaps, never of partitions; they
+  are listed by the equivalent description of their first-column hook sets
+  as the order ideals of the gaps of the semigroup <s,t> (Anderson), walked
+  depth first so that each core is its parent's rows plus one new first row;
 * from any rhomboid point there is a gallery walk to the rhomboid tip that
   only crosses hyperplanes separating the start from the tip, along which the
   associated cores grow weakly - a constructive proof that the tip's core
@@ -30,9 +33,9 @@ from .alcoves import (
     sset_of_point,
     tip,
 )
-from .affine_actions import _check_generator, _t_cycle, chi_on_sset
+from .affine_actions import _check_generator, _t_cycle
 from . import errors
-from .errors import DomainError, _trusted, check_level, check_pair, check_scan, check_span
+from .errors import DomainError, _trusted, check_coords, check_level, check_pair, check_scan, check_span
 from .partitions import Partition
 
 
@@ -154,6 +157,16 @@ def anderson_count(s: int, t: int) -> int:
     return num // (s + t)
 
 
+def _check_st_scan(s: int, t: int) -> None:
+    """The refusals shared by the rhomboid scan and the enumeration: the pair,
+    the span and the scan's candidates."""
+    check_pair(s, t)
+    # every (s,t)-core's s-set lies in the rhomboid, of span at most (s-1)t;
+    # capping it also keeps min(s-1, t), hence the binomial's cost, small
+    check_span((s - 1) * t)
+    check_scan(math.comb(s + t - 1, s - 1) * (s - 1), "enumeration")  # s-1 entries per candidate
+
+
 def _iter_st_core_ssets(s: int, t: int):
     """The elements of the s-set of every (s,t)-core, each once, lazily; the
     checks run on the call.
@@ -164,11 +177,7 @@ def _iter_st_core_ssets(s: int, t: int):
     size s-1 from {0..t}.  The fixed sum gives b_0 = (s-1)(1+t)/2 - sum(p),
     an s-set exactly when b_0 = 0 mod s: one candidate in s (Anderson).
     """
-    check_pair(s, t)
-    # every (s,t)-core's s-set lies in the rhomboid, of span at most (s-1)t;
-    # capping it also keeps min(s-1, t), hence the binomial's cost, small
-    check_span((s - 1) * t)
-    check_scan(math.comb(s + t - 1, s - 1) * (s - 1), "enumeration")  # s-1 entries per candidate
+    _check_st_scan(s, t)
     base = (s - 1) * (1 + t) // 2
     shifts = range(-t, -t * s, -t)  # -tj for j = 1..s-1
     return (
@@ -184,13 +193,55 @@ def count_st_cores(s: int, t: int) -> int:
 
 
 def enumerate_st_cores(s: int, t: int) -> list[Partition]:
-    """All (s,t)-cores, sorted by (size, parts)."""
-    ssets = _iter_st_core_ssets(s, t)  # checks the pair, the span and the scan
-    # each core is rebuilt from fewer beads than its span, at most (s-1)t
+    """All (s,t)-cores, sorted by (size, parts), by a depth-first walk over
+    the gap poset of the semigroup <s,t>.
+
+    The first-column hook lengths of an (s,t)-core are gaps of <s,t> (the
+    positive integers not of the form as + bt with a, b >= 0), closed under
+    h -> h-s and h -> h-t while positive, and each such order ideal is the
+    hook set of exactly one (s,t)-core (Anderson).  The walk adds hooks in
+    increasing order, so it reaches each ideal once, from the ideal without
+    its largest hook.  A gap h may join once h-s and h-t are each not a gap
+    or already in; a positive h-s or h-t is itself a gap, so the minimal gaps
+    are those below min(s, t), and any other gap becomes addable when its
+    last lower cover joins.  Each node keeps its addable gaps above its
+    largest hook, ascending: a child at h keeps those above h and gains the
+    covers h+s, h+t whose other lower cover is in.
+
+    On an n-row core with hooks h_1 > ... > h_n the rows are
+    lambda_i = h_i - (n - i), so a new largest hook h leaves every row as it
+    is and puts a new first row h - n on top: each core is one tuple prepend
+    of its parent, with h - n more boxes.
+    """
+    _check_st_scan(s, t)
+    # one core per ideal, each of fewer than (s-1)t rows
     check_scan(anderson_count(s, t) * (s - 1) * t, "enumeration")
-    cores = [_partition_from_first_gaps(els, s) for els in ssets]
-    cores.sort(key=lambda p: (sum(p.parts), p.parts))
-    return cores
+    top = s * t - s - t  # the largest gap (the Frobenius number); -1 if t = 1
+    in_semigroup = bytearray(top + 1)
+    for a in range(0, top + 1, s):
+        for b in range(a, top + 1, t):
+            in_semigroup[b] = 1
+    # for each gap, the gaps covering it, each with its other lower cover (0 if nonpositive)
+    covers = [
+        [(c, max(c - d, 0)) for c, d in ((h + s, t), (h + t, s)) if c <= top and not in_semigroup[c]]
+        for h in range(top + 1)
+    ]
+    found = [(0, ())]
+    stack = [(list(range(1, min(s, t))), 1, (), 0)]  # the ideal's bit 0 stands for every h <= 0
+    while stack:
+        addable, ideal, parts, size = stack.pop()
+        n = len(parts)
+        for k, h in enumerate(addable, start=1):
+            child, child_size = (h - n,) + parts, size + h - n
+            found.append((child_size, child))
+            above = addable[k:]
+            above += [c for c, other in covers[h] if ideal >> other & 1]
+            if above:
+                above.sort()
+                stack.append((above, ideal | 1 << h, child, child_size))
+    found.sort()  # tuple order: by size, then by parts
+    # the rows h_i - (n - i) of an ideal of gaps: the parts of an (s,t)-core
+    return [_trusted(Partition, parts=parts) for _, parts in found]
 
 
 @dataclass(frozen=True)
@@ -334,17 +385,36 @@ def level_orbit_up_to_size(s: int, t: int, max_size: int, start: Partition = Par
     The bound is safe for reachability from the minimiser because the greedy
     descent is strictly size-decreasing, so every orbit member of size <= n
     connects to the minimiser through cores of size <= n.
+
+    Each visited s-set is laid out as its t-cycle once; generator i moves t
+    from entry a = cycle[i-1] to entry b = cycle[i], changing the size by
+    t(t + a - b)/s, so an image is built only when it is within the bound.
+    A visited s-set costs s images of s entries, and the closure is refused
+    once its visits pass MAX_SCAN in those units.
     """
     start_q = q_set(start, s)
-    seen = {start_q.elements: start_q}
-    frontier = [start_q]
+    check_pair(s, t)
+    sizes = {start_q.elements: size_from_s_set(start_q)}
+    frontier = [start_q.elements]
+    cap = errors.MAX_SCAN  # read per call, so a test can lower it
+    visited = 0
     while frontier:
         next_frontier = []
-        for q in frontier:
+        for elements in frontier:
+            visited += 1
+            if visited * s * s > cap:
+                check_scan(visited * s * s, "orbit closure")
+            size = sizes[elements]
+            cycle = _t_cycle(elements, s, t)
             for i in range(s):
-                nq = chi_on_sset(i, t, q)
-                if nq.elements not in seen and size_from_s_set(nq) <= max_size:
-                    seen[nq.elements] = nq
-                    next_frontier.append(nq)
+                a, b = cycle[i - 1], cycle[i]
+                image_size = size + t * (t + a - b) // s
+                if image_size <= max_size:
+                    # chi_t: a + t and b - t trade classes (b = a + t mod s) and keep the sum
+                    image = elements - {a, b} | {a + t, b - t}
+                    if image not in sizes:
+                        check_coords((a + t, b - t))  # a large t can push the pair past the bound
+                        sizes[image] = image_size
+                        next_frontier.append(image)
         frontier = next_frontier
-    return {core_from_s_set(q) for q in seen.values()}
+    return {core_from_s_set(_trusted(SSet, s=s, elements=elements)) for elements in sizes}

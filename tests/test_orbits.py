@@ -1,5 +1,7 @@
 import math
 import random
+import re
+import time
 import tracemalloc
 from itertools import combinations
 
@@ -7,7 +9,15 @@ import pytest
 
 from conftest import brute_st_cores, st_cores_by_difference_scan
 from stcores import DomainError, errors
-from stcores.abacus import core, core_from_s_set, is_s_core, make_sset, q_set, size_from_s_set
+from stcores.abacus import (
+    _partition_from_first_gaps,
+    core,
+    core_from_s_set,
+    is_s_core,
+    make_sset,
+    q_set,
+    size_from_s_set,
+)
 from stcores.affine_actions import chi_gen, chi_on_core, chi_on_sset
 from stcores.alcoves import (
     SPoint,
@@ -288,6 +298,52 @@ def test_scan_is_refused_beyond_its_cap():
         enumerate_st_cores(2, 4473)
 
 
+def test_enumeration_refuses_what_the_scan_refuses_with_the_same_text():
+    cases = {
+        (4, 6): "(4, 6) must be coprime",
+        (1, 3): "need s >= 2, got 1",
+        (3, 0): "t must be a positive integer, got 0",
+        (2, 10**7 + 1): "abacus span of 10000001 positions exceeds the cap of 10000000",
+        (30, 31): f"enumeration of {math.comb(60, 29) * 29} units of work exceeds the cap of 10000000",
+        (11, 13): f"enumeration of {math.comb(23, 10) * 10} units of work exceeds the cap of 10000000",
+    }
+    for (s, t), text in cases.items():
+        for call in (_iter_st_core_ssets, enumerate_st_cores):
+            with pytest.raises(DomainError, match=f"^{re.escape(text)}$"):
+                call(s, t)
+    # the scan admits (2, 4473), but its 2,237 cores of up to 4,473 rows are refused
+    with pytest.raises(DomainError, match=f"^enumeration of {2237 * 4473} units of work exceeds the cap of 10000000$"):
+        enumerate_st_cores(2, 4473)
+    assert enumerate_st_cores(2000, 1) == [P()]
+
+
+def test_gap_walk_equals_rhomboid_scan():
+    """The walk over the gap poset against the runner-gap scan of the
+    rhomboid, core by core; its largest core is the tip's core, built from
+    the tip's s-set."""
+    for s in range(2, 10):
+        for t in range(1, 13):
+            if math.gcd(s, t) == 1:
+                scanned = (_partition_from_first_gaps(els, s) for els in _iter_st_core_ssets(s, t))
+                walked = enumerate_st_cores(s, t)
+                assert walked == sorted(scanned, key=lambda p: (size(p), p.parts)), (s, t)
+                assert walked[-1] == kappa(s, t), (s, t)
+
+
+@pytest.mark.parametrize(
+    "s,t",
+    [(2, 3), (3, 4), (5, 7), (7, 12), (9, 10), (13, 21), (31, 50), (40, 41), (64, 95), (101, 102), (200, 201)],
+)
+def test_kappa_first_column_hooks_are_the_gaps_of_the_semigroup(s, t):
+    """The first-column hook lengths of kappa(s, t) are the positive integers
+    not of the form as + bt with a, b >= 0 (Anderson 2002)."""
+    gaps = set(range(1, s * t)) - {a * s + b * t for a in range(t) for b in range(s)}
+    parts = kappa(s, t).parts
+    n = len(parts)
+    assert {part + n - i for i, part in enumerate(parts, start=1)} == gaps
+    assert n == len(gaps) == (s - 1) * (t - 1) // 2
+
+
 def test_every_st_core_is_contained_in_kappa_small():
     for s, t in ((2, 3), (3, 4), (4, 5), (5, 7), (3, 8)):
         kap = kappa(s, t)
@@ -356,6 +412,28 @@ def test_level_orbit_of_origin_small():
         if is_s_core_by_hooks(p, 3) and core(p, 4) == P()
     }
     assert got == expected
+
+
+def test_orbit_closure_is_refused_once_its_visits_pass_the_cap(monkeypatch):
+    """Each member is visited once, at s images of s entries: a closure of n
+    members runs under a cap of n s^2, and under one unit less it stops at
+    its last visit."""
+    s, t, bound = 4, 5, 60
+    orbit = level_orbit_up_to_size(s, t, bound)
+    work = len(orbit) * s * s
+    assert len(orbit) > 20
+    monkeypatch.setattr(errors, "MAX_SCAN", work)
+    assert level_orbit_up_to_size(s, t, bound) == orbit
+    monkeypatch.setattr(errors, "MAX_SCAN", work - 1)
+    with pytest.raises(DomainError, match=f"^orbit closure of {work} units of work exceeds the cap of {work - 1}$"):
+        level_orbit_up_to_size(s, t, bound)
+
+
+def test_large_orbit_closure_is_refused_in_bounded_time():
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="^orbit closure of"):
+        level_orbit_up_to_size(12, 5, 400)
+    assert time.perf_counter() - start < 10
 
 
 def test_chains_sweep_rhomboid():
