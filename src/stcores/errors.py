@@ -22,11 +22,12 @@ MAX_COORD = 2**62
 # bounds the time and the memory.  A core of span n has fewer than n parts,
 # each below n, so the cap also keeps its size below 10**14 < MAX_SIZE.
 MAX_SPAN = 10**7
-# Listing (s,t)-cores draws s-1 entries for each of C(s+t-1, s-1) candidates
-# and lays out fewer than (s-1)t beads for each core; a gallery walk copies
-# one core per step, an alcove diagram builds one per alcove, and a generator
-# word moves all s coordinates per generator.  Each such count of work,
-# taken from a closed form before the work starts, is capped.
+# Scanning for (s,t)-cores draws s-1 entries for each of C(s+t-1, s-1)
+# candidates, and listing them builds each core's at most (s-1)(t-1)/2 rows;
+# a gallery walk copies one core per step, an alcove diagram builds one per
+# alcove, and a generator word moves all s coordinates per generator.  Each
+# such count of work, taken from a closed form before the work starts, is
+# capped.
 MAX_SCAN = 10**7
 
 
@@ -105,10 +106,18 @@ def _read_ints(text: str, what: str, brackets: str = "", sep: str | None = ",") 
         raise DomainError(f"malformed {what}: {text!r}") from exc
 
 
+_new = object.__new__
+_set = object.__setattr__
+
+
 def _trusted(cls, **fields):
     """cls(**fields) without its __post_init__ check, for values derived from
-    checked ones by a move that keeps cls's contract; each caller names it."""
-    obj = object.__new__(cls)
+    checked ones by a move that keeps cls's contract; each caller names it.
+
+    Fields go in through object.__setattr__, as a frozen dataclass's own
+    __init__ puts them, never through obj.__dict__: writing the dict makes
+    the instance hold a materialised dict of its own, larger per value."""
+    obj = _new(cls)
     for name, value in fields.items():
-        object.__setattr__(obj, name, value)
+        _set(obj, name, value)
     return obj

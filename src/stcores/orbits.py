@@ -21,7 +21,8 @@ The crucial facts shaped into algorithms here:
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, insort
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 
@@ -158,8 +159,8 @@ def anderson_count(s: int, t: int) -> int:
 
 
 def _check_st_scan(s: int, t: int) -> None:
-    """The refusals shared by the rhomboid scan and the enumeration: the pair,
-    the span and the scan's candidates."""
+    """The refusals of the rhomboid scan: the pair, the span and the scan's
+    candidates."""
     check_pair(s, t)
     # every (s,t)-core's s-set lies in the rhomboid, of span at most (s-1)t;
     # capping it also keeps min(s-1, t), hence the binomial's cost, small
@@ -205,43 +206,59 @@ def enumerate_st_cores(s: int, t: int) -> list[Partition]:
     or already in; a positive h-s or h-t is itself a gap, so the minimal gaps
     are those below min(s, t), and any other gap becomes addable when its
     last lower cover joins.  Each node keeps its addable gaps above its
-    largest hook, ascending: a child at h keeps those above h and gains the
-    covers h+s, h+t whose other lower cover is in.
+    largest hook, ascending, and its ideal as a bit mask (bit 0 for every
+    h <= 0): a child at h keeps those above h and gains, by bisection, the
+    covers h+s, h+t whose other lower cover's bit is set.
 
     On an n-row core with hooks h_1 > ... > h_n the rows are
     lambda_i = h_i - (n - i), so a new largest hook h leaves every row as it
     is and puts a new first row h - n on top: each core is one tuple prepend
-    of its parent, with h - n more boxes.
+    of its parent, with h - n more boxes.  Each core goes into a bucket of
+    its size; the buckets, each sorted, are read in ascending size, so no
+    (size, parts) pair is built and no sort runs across sizes.
+
+    The work is priced on the output alone: one unit per core plus one per
+    row, of which an (s,t)-core has at most (s-1)(t-1)/2, one per gap.
     """
-    _check_st_scan(s, t)
-    # one core per ideal, each of fewer than (s-1)t rows
-    check_scan(anderson_count(s, t) * (s - 1) * t, "enumeration")
+    check_pair(s, t)
+    # the gap tables below hold st - s - t + 1 < (s-1)t entries; capping that
+    # also keeps min(s-1, t), hence the binomial's cost, small
+    check_span((s - 1) * t)
+    check_scan(anderson_count(s, t) * ((s - 1) * (t - 1) // 2 + 1), "enumeration")
     top = s * t - s - t  # the largest gap (the Frobenius number); -1 if t = 1
     in_semigroup = bytearray(top + 1)
     for a in range(0, top + 1, s):
         for b in range(a, top + 1, t):
             in_semigroup[b] = 1
-    # for each gap, the gaps covering it, each with its other lower cover (0 if nonpositive)
+    # for each gap, the gaps covering it, each with the bit of its other lower cover (bit 0 if nonpositive)
     covers = [
-        [(c, max(c - d, 0)) for c, d in ((h + s, t), (h + t, s)) if c <= top and not in_semigroup[c]]
+        [(c, 1 << max(c - d, 0)) for c, d in ((h + s, t), (h + t, s)) if c <= top and not in_semigroup[c]]
         for h in range(top + 1)
     ]
-    found = [(0, ())]
-    stack = [(list(range(1, min(s, t))), 1, (), 0)]  # the ideal's bit 0 stands for every h <= 0
+    # keyed sparsely: Kane's bound on the sizes, (s^2-1)(t^2-1)/24, can far exceed the cores' count
+    by_size = defaultdict(list, {0: [()]})
+    stack = [(list(range(1, min(s, t))), 1, (), 0)]
     while stack:
         addable, ideal, parts, size = stack.pop()
         n = len(parts)
         for k, h in enumerate(addable, start=1):
             child, child_size = (h - n,) + parts, size + h - n
-            found.append((child_size, child))
+            by_size[child_size].append(child)
             above = addable[k:]
-            above += [c for c, other in covers[h] if ideal >> other & 1]
+            for c, other in covers[h]:
+                if ideal & other:
+                    insort(above, c)
             if above:
-                above.sort()
                 stack.append((above, ideal | 1 << h, child, child_size))
-    found.sort()  # tuple order: by size, then by parts
-    # the rows h_i - (n - i) of an ideal of gaps: the parts of an (s,t)-core
-    return [_trusted(Partition, parts=parts) for _, parts in found]
+    new, put = object.__new__, object.__setattr__
+    cores = []
+    for boxes in sorted(by_size):
+        for parts in sorted(by_size[boxes]):
+            # the rows h_i - (n - i) of an ideal of gaps: the parts of an (s,t)-core
+            core = new(Partition)
+            put(core, "parts", parts)
+            cores.append(core)
+    return cores
 
 
 @dataclass(frozen=True)

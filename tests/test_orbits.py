@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import signal
 import time
 import tracemalloc
 from itertools import combinations
@@ -254,6 +255,52 @@ def test_enumerate_against_both_oracles(s, t):
     assert len(fast) == anderson_count(s, t)
 
 
+def test_enumeration_is_symmetric_in_s_and_t():
+    """The (s,t)- and (t,s)-cores are one set, listed in one (size, parts)
+    order, whichever of s and t is larger; the pairs include cores of many
+    sizes with many cores each."""
+    for s in range(2, 13):
+        for t in range(s + 1, 13):
+            if math.gcd(s, t) == 1:
+                cores = enumerate_st_cores(s, t)
+                assert cores == enumerate_st_cores(t, s), (s, t)
+                assert [(size(c), c.parts) for c in cores] == sorted((size(c), c.parts) for c in cores), (s, t)
+
+
+def test_enumerated_cores_are_plain_partitions():
+    """Each core is wrapped without its check, but is a Partition like any
+    other: the one field, equality and hash."""
+    for s, t in ((4, 9), (7, 5)):
+        for core in enumerate_st_cores(s, t):
+            assert type(core) is Partition
+            assert vars(core) == {"parts": core.parts}
+            assert core == Partition(core.parts)
+            assert hash(core) == hash(Partition(core.parts))
+
+
+def _on_alarm(signum, frame):
+    raise TimeoutError("enumerate_st_cores did not return within the alarm")
+
+
+def test_enumeration_near_its_cap_is_fast_and_small():
+    """(2, 4471) has 2,236 cores of up to 2,235 rows, summing 2.5 million
+    parts, and sizes up to Kane's 2,498,730: the buckets are keyed by the sizes
+    that occur, not laid out for every size up to the bound."""
+    previous = signal.signal(signal.SIGALRM, _on_alarm)
+    signal.alarm(10)
+    tracemalloc.start()
+    try:
+        cores = enumerate_st_cores(2, 4471)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert len(cores) == anderson_count(2, 4471) == 2236
+    assert size(cores[-1]) == (2**2 - 1) * (4471**2 - 1) // 24
+    assert peak < 40 * 2**20
+
+
 def _runner_gap_scan(s, t):
     """Oracle for the rhomboid scan: the runner-gap tree, walked recursively.
 
@@ -294,8 +341,8 @@ def test_scan_is_refused_beyond_its_cap():
         _iter_st_core_ssets(30, 31)  # C(60, 29) candidates, refused on the call
     # 4,474 candidates pass the scan, but 2,237 cores of span up to 4,473 do not
     assert count_st_cores(2, 4473) == 2237
-    with pytest.raises(DomainError):
-        enumerate_st_cores(2, 4473)
+    # priced on its output, 2,237 cores of at most 2,236 rows, the enumeration admits them
+    assert len(enumerate_st_cores(2, 4473)) == anderson_count(2, 4473) == 2237
 
 
 def test_enumeration_refuses_what_the_scan_refuses_with_the_same_text():
@@ -309,11 +356,20 @@ def test_enumeration_refuses_what_the_scan_refuses_with_the_same_text():
     }
     for (s, t), text in cases.items():
         for call in (_iter_st_core_ssets, enumerate_st_cores):
+            if call is enumerate_st_cores and (s, t) in ((30, 31), (11, 13)):
+                continue  # the enumeration prices its own output, below
             with pytest.raises(DomainError, match=f"^{re.escape(text)}$"):
                 call(s, t)
-    # the scan admits (2, 4473), but its 2,237 cores of up to 4,473 rows are refused
-    with pytest.raises(DomainError, match=f"^enumeration of {2237 * 4473} units of work exceeds the cap of 10000000$"):
-        enumerate_st_cores(2, 4473)
+    # the enumeration's work is one unit per core plus one per row, at most one row per gap
+    for (s, t), work in {
+        (30, 31): math.comb(61, 30) // 61 * (29 * 30 // 2 + 1),
+        (12, 13): math.comb(25, 12) // 25 * (11 * 12 // 2 + 1),
+    }.items():
+        with pytest.raises(DomainError, match=f"^enumeration of {work} units of work exceeds the cap of 10000000$"):
+            enumerate_st_cores(s, t)
+    # so it admits what the scan refuses, and either order of the pair
+    for s, t in ((11, 13), (2, 4473), (100, 3), (3, 100)):
+        assert len(enumerate_st_cores(s, t)) == anderson_count(s, t), (s, t)
     assert enumerate_st_cores(2000, 1) == [P()]
 
 
