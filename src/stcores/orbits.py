@@ -108,34 +108,81 @@ def descend_to_t_core(lam: Partition, s: int, t: int) -> tuple[Partition, OrbitD
     the bead-closure condition for t, so the result is a t-core, and it
     equals the t-core of lam because every step preserves it.
 
-    The scan does not restart at 0 after a move.  It keeps the invariant that
-    no generator below the scan position improves.  A move at i changes only
-    entries i-1 and i of the cycle, hence only the status of generators i-1,
-    i and i+1 (mod s); so after it the scan resumes at i-1, where the
-    invariant still holds, except that a move at 0 (which touches generator
-    s-1) or at s-1 (which touches generator 0) sends it back to 0.  The first
-    improving generator the scan meets is therefore always the smallest one,
-    and a scan that passes s-1 proves that none improves.
+    The loop runs on c_j = jt - cycle[j], where a move is a sort step.
+    Generator i >= 1 improves iff c[i] < c[i-1], and its move swaps the two
+    entries.  Generator 0 compares across the wrap: it improves iff
+    c[0] < c[s-1] - st, and its move sets c[0], c[s-1] to c[s-1] - st,
+    c[0] + st (the affine wall H_{1,s}^t of psi_t).  So the descent sorts
+    the sequence C[j + ks] = c_j + kst by adjacent swaps, and its length is
+    the number of inversions of C (pairs n < m with C[n] > C[m], n in
+    0..s-1): the sum over 0 <= i, j < s of
+    max(0, ceil((c_i - c_j)/st) - [j <= i]).
+
+    The greedy scan does not restart at 0 after a move.  It keeps the
+    invariant that no generator below the scan position improves, i.e.
+    c[0..i-1] is non-decreasing and generator 0 was checked since c[0] and
+    c[s-1] last changed.  A move at i changes only entries i-1 and i, hence
+    only the status of generators i-1, i and i+1 (mod s); so after it the
+    scan resumes at i-1, except that a move at 0 (which touches generator
+    s-1) or at s-1 (which touches generator 0) sends it back to 0.  The
+    first improving generator the scan meets is therefore always the
+    smallest one, and a scan that passes s-1 proves that none improves.
+
+    The loop takes those resumptions in whole runs, with the same word.
+    Resuming at i-1 after a swap at 0 < i < s-1 compares the entry x that
+    moved down with its new left neighbour, so x keeps moving down while it
+    is smaller: an insertion of x into the non-decreasing c[0..i-1], one
+    comparison per step.  Once x stops at j >= 1, c[0..i] is non-decreasing
+    and generator 0 is untouched, so the scan goes on at i+1.  If x reaches
+    entry 0, or a move happens at s-1, generator 0 is checked next; unless
+    it moves, the entries below i+1 (below s-2 after a move at s-1) are
+    still in order, so the scan goes on there.  A move at 0 cannot be
+    followed by another (c[0] < c[s-1] - st now reads c[s-1] - st < c[0]
+    before the move), so the scan goes on at 1.
     """
     check_pair(s, t)
     q = q_set(lam, s)  # validates that lam is an s-core
-    cycle = _t_cycle(q.elements, s, t)
+    c = [j * t - a for j, a in enumerate(_t_cycle(q.elements, s, t))]
+    st, last = s * t, s - 1
     gens: list[int] = []
+    append = gens.append
     cap = errors.MAX_SCAN  # read per call, so a test can lower it
-    i = 0
-    while i < s:
-        a, b = cycle[i - 1], cycle[i]
-        if b - a > t:
-            # a chi_t move: a + t and b - t trade classes, keep the sum, lie between a and b
-            cycle[i - 1], cycle[i] = b - t, a + t
-            gens.append(i)
+    i = 1  # the next generator >= 1 to check; c[0..i-1] is non-decreasing
+    while True:
+        if c[0] < c[last] - st:
+            c[0], c[last] = c[last] - st, c[0] + st
+            append(0)
             if len(gens) > cap:  # each step is O(1), so this bounds the time
                 check_scan(len(gens), "descent")
-            i = i - 1 if 0 < i < s - 1 else 0
+            i = 1
+        while i < s:
+            x, y = c[i], c[i - 1]
+            if x < y:
+                c[i] = y
+                append(i)
+                if len(gens) > cap:
+                    check_scan(len(gens), "descent")
+                if i == last:
+                    c[i - 1] = x
+                    i = last - 1 or 1
+                    break
+                j = i - 1
+                while j and x < c[j - 1]:
+                    c[j] = c[j - 1]
+                    append(j)
+                    if len(gens) > cap:
+                        check_scan(len(gens), "descent")
+                    j -= 1
+                c[j] = x
+                i += 1
+                if not j:
+                    break
+            else:
+                i += 1
         else:
-            i += 1
-    # the cycle went through chi_t moves only, so it is still an s-set
-    final = _trusted(SSet, s=s, elements=frozenset(cycle))
+            break
+    # every move was a chi_t move, so jt - c_j is still an s-set
+    final = _trusted(SSet, s=s, elements=frozenset(j * t - x for j, x in enumerate(c)))
     return core_from_s_set(final), OrbitDescentTrace(initial_sset=q, t=t, gens=tuple(gens))
 
 

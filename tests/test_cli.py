@@ -353,8 +353,10 @@ def test_over_span_inputs_are_refused_up_front(capsys, argv):
 
 
 def test_enumerate_is_iterative_and_capped(capsys):
-    """(2000, 1) has one core, the empty one, and a scan 1999 runners deep;
-    (30, 31) would scan C(60, 29) candidates and is refused up front."""
+    """(2000, 1) has one core, the empty one, and <2000, 1> has no gaps to
+    walk; (30, 31) is refused up front on its output price of
+    anderson_count(30, 31) * 436 units: one per core and one per row, at
+    most 435 rows a core."""
     previous = signal.signal(signal.SIGALRM, _on_alarm)
     signal.alarm(10)
     try:

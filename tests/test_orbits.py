@@ -170,14 +170,90 @@ def test_descent_matches_eager_rescan():
         assert all(moves_at_ends.values()), (s, moves_at_ends)
 
 
+def _cycle_descent(q, t):
+    """Reference for descend_to_t_core: the greedy scan on the t-cycle, one
+    generator check at a time, resuming at i-1 after a move at 0 < i < s-1
+    and at 0 after a move at 0 or s-1.  Returns (t-core, generator word)."""
+    s = q.s
+    cycle = [{a % s: a for a in q.elements}[k * t % s] for k in range(s)]
+    gens = []
+    i = 0
+    while i < s:
+        a, b = cycle[i - 1], cycle[i]
+        if b - a > t:
+            cycle[i - 1], cycle[i] = b - t, a + t
+            gens.append(i)
+            i = i - 1 if 0 < i < s - 1 else 0
+        else:
+            i += 1
+    return core_from_s_set(make_sset(s, cycle)), tuple(gens)
+
+
+def _memory_test_sset():
+    """The s-set of the 8.9e9-box 11-core of test_descent_trace_keeps_no_s_sets."""
+    return make_sset(11, random_s_point(random.Random("descent-memory"), 11, 20000).coords)
+
+
+def _seeded_descents(seed):
+    """(q, t) for s = 2..15 and every coprime t <= 40: per pair the empty
+    core and kappa(s, t), both t-cores already, and three seeded s-cores of
+    about n boxes, n log-uniform up to 1e7; then the memory test's core."""
+    rng = random.Random(seed)
+    for s in range(2, 16):
+        for t in range(1, 41):
+            if math.gcd(s, t) != 1:
+                continue
+            yield q_set(P(), s), t
+            yield q_set(kappa(s, t), s), t
+            for _ in range(3):
+                # s - 1 of the k in r + s*k drawn from -d..d, the last one
+                # minus their sum: about s^2 d^2 / 3 boxes
+                spread = round(math.sqrt(3 * 10 ** rng.uniform(0, 7)) / s)
+                yield make_sset(s, random_s_point(rng, s, spread).coords), t
+    yield _memory_test_sset(), 13
+
+
+def test_descent_matches_the_cycle_scan():
+    """The sort on c_j = jt - cycle[j] applies the same word, and ends at the
+    same t-core, as the scan on the t-cycle, from the empty core and from
+    t-cores (no step) up to the 8.9e9-box core."""
+    sizes, t_cores = [], 0
+    for q, t in _seeded_descents("descent-c-form"):
+        lam = core_from_s_set(q)
+        nu, trace = descend_to_t_core(lam, q.s, t)
+        assert (nu, trace.gens) == _cycle_descent(q, t), (q, t)
+        sizes.append(size(lam))
+        if is_s_core(lam, t):
+            assert trace.gens == ()
+            t_cores += 1
+    assert len(sizes) >= 1000 and t_cores >= 2 * (len(sizes) - 1) // 5
+    assert min(sizes) == 0 and 10**6 < sorted(sizes)[-2] < 3 * 10**7 and sizes[-1] > 8 * 10**9
+
+
+def _inversions(q, t):
+    """Inversions of C[j + ks] = c_j + kst with c_j = jt - cycle[j]: pairs
+    n < m, n in 0..s-1, with C[n] > C[m]."""
+    s = q.s
+    cycle = [{a % s: a for a in q.elements}[k * t % s] for k in range(s)]
+    c = [j * t - a for j, a in enumerate(cycle)]
+    # for each i and j, the k >= [j <= i] with c_j + kst < c_i
+    return sum(max(0, -((c[j] - c[i]) // (s * t)) - (j <= i)) for i in range(s) for j in range(s))
+
+
+def test_descent_length_is_the_inversion_count():
+    """Each step removes one inversion of the affine sequence and the end is
+    sorted, so the greedy word is reduced and its length has a closed form."""
+    for q, t in _seeded_descents("descent-length"):
+        _, trace = descend_to_t_core(core_from_s_set(q), q.s, t)
+        assert len(trace) == _inversions(q, t), (q, t)
+
+
 def test_descent_trace_keeps_no_s_sets():
     """An 8.9e9-box 11-core descends at t = 13 in 63,681 steps; the trace holds
     only the generator word, so the descent allocates a few MiB, not one s-set
     per step (about 60 MiB)."""
     s, t = 11, 13
-    rng = random.Random("descent-memory")
-    q = make_sset(s, random_s_point(rng, s, 20000).coords)
-    lam = core_from_s_set(q)
+    lam = core_from_s_set(_memory_test_sset())
     tracemalloc.start()
     try:
         nu, trace = descend_to_t_core(lam, s, t)
@@ -386,18 +462,46 @@ def test_gap_walk_equals_rhomboid_scan():
                 assert walked[-1] == kappa(s, t), (s, t)
 
 
+def _semigroup_gaps(s, t):
+    """The positive integers not of the form as + bt with a, b >= 0."""
+    return set(range(1, s * t)) - {a * s + b * t for a in range(t) for b in range(s)}
+
+
+def _first_column_hooks(parts):
+    n = len(parts)
+    return {part + n - i for i, part in enumerate(parts, start=1)}
+
+
 @pytest.mark.parametrize(
     "s,t",
     [(2, 3), (3, 4), (5, 7), (7, 12), (9, 10), (13, 21), (31, 50), (40, 41), (64, 95), (101, 102), (200, 201)],
 )
 def test_kappa_first_column_hooks_are_the_gaps_of_the_semigroup(s, t):
-    """The first-column hook lengths of kappa(s, t) are the positive integers
-    not of the form as + bt with a, b >= 0 (Anderson 2002)."""
-    gaps = set(range(1, s * t)) - {a * s + b * t for a in range(t) for b in range(s)}
+    """The first-column hook lengths of kappa(s, t) are the gaps of <s,t>
+    (Anderson 2002)."""
+    gaps = _semigroup_gaps(s, t)
     parts = kappa(s, t).parts
-    n = len(parts)
-    assert {part + n - i for i, part in enumerate(parts, start=1)} == gaps
-    assert n == len(gaps) == (s - 1) * (t - 1) // 2
+    assert _first_column_hooks(parts) == gaps
+    assert len(parts) == len(gaps) == (s - 1) * (t - 1) // 2
+
+
+def test_scanned_cores_have_hook_sets_that_are_order_ideals_of_the_gaps():
+    """Every core of the rhomboid scan has first-column hooks that are gaps of
+    <s,t>, closed under h -> h-s and h -> h-t while positive, and no two
+    share them (Anderson 2002): the scan and the gap walk meet only at the
+    partitions."""
+    for s in range(2, 10):
+        for t in range(1, 13):
+            if math.gcd(s, t) != 1:
+                continue
+            gaps = _semigroup_gaps(s, t)
+            ideals = set()
+            for elements in _iter_st_core_ssets(s, t):
+                hooks = _first_column_hooks(_partition_from_first_gaps(elements, s).parts)
+                assert hooks <= gaps, (s, t, elements)
+                assert all(h - d in hooks for h in hooks for d in (s, t) if h > d), (s, t, elements)
+                ideals.add(frozenset(hooks))
+            assert len(ideals) == anderson_count(s, t), (s, t)
 
 
 def test_every_st_core_is_contained_in_kappa_small():
