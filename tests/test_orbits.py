@@ -131,11 +131,17 @@ def test_descent_steps_are_the_smallest_improving_chi_t_moves():
         assert _improving_gens(previous, t) == []
 
 
+def _cycle(q, t):
+    """The elements of q along the classes 0, t, ..., (s-1)t mod s."""
+    by_class = {a % q.s: a for a in q.elements}
+    return [by_class[k * t % q.s] for k in range(q.s)]
+
+
 def _eager_descent(q, t):
     """Oracle for descend_to_t_core: after every move, rescan the generators
     from 0 and build the s-set.  Returns the steps as (generator, s-set) pairs."""
     s = q.s
-    cycle = [{a % s: a for a in q.elements}[k * t % s] for k in range(s)]
+    cycle = _cycle(q, t)
     steps = []
     while True:
         for i in range(s):
@@ -175,7 +181,7 @@ def _cycle_descent(q, t):
     generator check at a time, resuming at i-1 after a move at 0 < i < s-1
     and at 0 after a move at 0 or s-1.  Returns (t-core, generator word)."""
     s = q.s
-    cycle = [{a % s: a for a in q.elements}[k * t % s] for k in range(s)]
+    cycle = _cycle(q, t)
     gens = []
     i = 0
     while i < s:
@@ -234,7 +240,7 @@ def _inversions(q, t):
     """Inversions of C[j + ks] = c_j + kst with c_j = jt - cycle[j]: pairs
     n < m, n in 0..s-1, with C[n] > C[m]."""
     s = q.s
-    cycle = [{a % s: a for a in q.elements}[k * t % s] for k in range(s)]
+    cycle = _cycle(q, t)
     c = [j * t - a for j, a in enumerate(cycle)]
     # for each i and j, the k >= [j <= i] with c_j + kst < c_i
     return sum(max(0, -((c[j] - c[i]) // (s * t)) - (j <= i)) for i in range(s) for j in range(s))
