@@ -9,12 +9,21 @@ A partition's bead set is {lambda_i - i : i = 1..n} together with the
 regular tail -(n+1), -(n+2), ...  Core extraction repacks each runner by
 bead counting instead of simulating single slides; the two agree because
 sliding preserves per-runner bead counts above any fixed floor.
+
+``q_set``, ``core`` and ``is_s_core`` all read every row once, to count the
+beads on each runner.  From 512 rows up and for s <= 24 the count is a few
+C-level passes over one byte per row: lambda_i mod s, plus -i mod s added
+in one big-int addition (each byte sum is at most 2s - 2 < 256, so none
+carries), folded mod s by ``translate`` and counted by s ``bytes.count``
+calls.  On smaller inputs, or larger s, a plain loop over the rows is
+cheaper and is used instead; the choice depends on n and s alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add
+from itertools import repeat
+from operator import add, mod
 
 from .errors import DomainError, _read_ints, _trusted, check_modulus, check_s, check_s_set, check_span
 from .partitions import Partition
@@ -88,15 +97,43 @@ def _packed_first_gaps(p: Partition, s: int) -> list[int]:
     On runner r the packed beads occupy every position below some boundary;
     the boundary is recovered from the bead count: (top tail position on the
     runner) + s * (heads on the runner + 1).
+
+    Row i puts its bead lambda_i - i on runner (lambda_i mod s + (-i mod s))
+    mod s.  From 512 rows up, and for s <= 24, the runners are counted in
+    C-level byte passes (``_runner_counts_by_bytes``) instead of one Python
+    step per row.  Those passes cost a few microseconds to set up and then
+    about s/2 ns per row for the s counts, so the loop stays where it is
+    cheaper: below 512 rows, where the set-up is not repaid, and above
+    s = 24, where the counts cost as much as the loop saves.
     """
     check_modulus(s)
     check_span(s - 1)  # s first gaps in distinct classes span at least s - 1
-    heads = [part - i for i, part in enumerate(p.parts, start=1)]
-    counts = [0] * s
-    for b in heads:
-        counts[b % s] += 1
-    top = -(len(heads) + 1)
+    parts = p.parts
+    n = len(parts)
+    if n >= 512 and s <= 24:
+        counts = _runner_counts_by_bytes(parts, s)
+    else:
+        counts = [0] * s
+        for i, part in enumerate(parts, start=1):
+            counts[(part - i) % s] += 1
+    top = -(n + 1)
     return [top - ((top - r) % s) + s * (counts[r] + 1) for r in range(s)]
+
+
+def _runner_counts_by_bytes(parts, s: int) -> list[int]:
+    """The number of beads lambda_i - i on each runner, for 1 <= s <= 128.
+
+    ``bytes(map(mod, ...))`` gives lambda_i mod s as byte i - 1, and one
+    big-int addition adds the periodic bytes -i mod s (s-1, s-2, ..., 0,
+    repeated).  Each byte sum is at most 2s - 2 < 256, so no byte carries
+    into the next.  One ``translate`` folds every byte mod s, and s
+    ``count`` calls read off the runners.
+    """
+    n = len(parts)
+    shifts = (bytes(range(s - 1, -1, -1)) * (n // s + 1))[:n]
+    sums = int.from_bytes(bytes(map(mod, parts, repeat(s))), "little") + int.from_bytes(shifts, "little")
+    runners = sums.to_bytes(n, "little").translate((bytes(range(s)) * (256 // s + 1))[:256])
+    return list(map(runners.count, range(s)))
 
 
 def _partition_from_first_gaps(gaps, s: int) -> Partition:

@@ -456,8 +456,8 @@ def level_orbit_up_to_size(s: int, t: int, max_size: int, start: Partition = Par
     A visited s-set costs s images of s entries, and the closure is refused
     once its visits pass MAX_SCAN in those units.
     """
-    start_q = q_set(start, s)
     check_pair(s, t)
+    start_q = q_set(start, s)
     sizes = {start_q.elements: size_from_s_set(start_q)}
     frontier = [start_q.elements]
     cap = errors.MAX_SCAN  # read per call, so a test can lower it

@@ -1,13 +1,16 @@
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
 
 from stcores import DomainError
+from stcores.errors import MAX_SIZE
 from stcores.abacus import (
     BetaSet,
     _packed_first_gaps,
+    _runner_counts_by_bytes,
     beta_set,
     core,
     core_from_s_set,
@@ -134,9 +137,11 @@ def _position_scan_core(gaps, s):
 
 
 def _seeded_ssets():
-    """s-sets r + s*c_r (sum of c_r = 0) for s = 2..13, from 0 to about 10^6 boxes."""
+    """s-sets r + s*c_r (sum of c_r = 0) for s = 2..13 and a few larger s on
+    both sides of the byte-count bound s <= 24 of _packed_first_gaps, from 0
+    to about 10^6 boxes."""
     rng = random.Random("builder")
-    for s in range(2, 14):
+    for s in (*range(2, 14), 20, 24, 25, 40, 64, 65, 100):
         for k in (0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512):
             c = [rng.randint(-k, k) for _ in range(s - 1)]
             c.append(-sum(c))
@@ -151,10 +156,77 @@ def test_builder_matches_position_scan():
         s = q.s
         lam = core_from_s_set(q)
         assert lam == _position_scan_core(q.elements, s), q
+        assert q_set(lam, s) == q
         sizes.append(size(lam))
         # lam is an s-core but in general not an (s+1)-core
         assert core(lam, s + 1) == _position_scan_core(_packed_first_gaps(lam, s + 1), s + 1)
     assert min(sizes) == 0 and max(sizes) > 10**6
+
+
+def _first_gaps_by_rows(p, s):
+    """Oracle for _packed_first_gaps: count the beads on each runner row by
+    row from the beta-set heads, then stack them on the runner's highest
+    tail bead."""
+    counts = Counter(h % s for h in beta_set(p).heads)
+    gaps = []
+    for r in range(s):
+        x = -(len(p.parts) + 1)
+        while x % s != r:
+            x -= 1
+        gaps.append(x + s * (counts[r] + 1))
+    return gaps
+
+
+def _is_core_by_rows(p, s):
+    """Oracle for is_s_core: every head h has a bead at h - s, a head or the tail."""
+    heads = set(beta_set(p).heads)
+    return all(h - s in heads or h - s < -len(p.parts) for h in heads)
+
+
+def _core_with_rows(n, s, rng):
+    """A seeded s-core of exactly n rows, s >= 2: the one whose s-set has
+    least element -n (its rebuild lays out -n beads above that floor)."""
+    low = -n
+    c = [-((r - low - 1) // s) for r in range(s)]  # the least c_r with r + s*c_r > low
+    c[low % s] = (low - low % s) // s  # the one element at low
+    others = [r for r in range(s) if r != low % s]
+    for _ in range(-sum(c)):  # every c_r <= 0 so far; raise random runners to sum 0
+        c[rng.choice(others)] += 1
+    q = make_sset(s, [r + s * c_r for r, c_r in enumerate(c)])
+    assert min(q.elements) == low
+    return q, core_from_s_set(q)
+
+
+@pytest.mark.parametrize("s", [1, 2, 3, 7, 13, 24, 25, 63, 64, 65, 128, 129, 300])
+def test_runner_counts_are_exact_across_the_path_bound(s):
+    """_packed_first_gaps, is_s_core and q_set against the per-row oracles,
+    at 511, 512 and 513 rows (the byte passes start at 512 rows and s <= 24)
+    and 5000 rows, on non-cores with parts up to 10^15 and on s-cores.  The
+    byte passes are also compared directly wherever they are exact (s <= 128),
+    so a miscount on either path fails."""
+    rng = random.Random(f"paths-{s}")
+    for n in (511, 512, 513, 5000):
+        top = min(10**15, MAX_SIZE // n)
+        cases = [Partition(tuple(sorted((rng.randint(1, top) for _ in range(n)), reverse=True)))]
+        if s >= 2:
+            q, lam = _core_with_rows(n, s, rng)
+            assert len(lam.parts) == n
+            cases.append(lam)
+        for p in cases:
+            gaps = _first_gaps_by_rows(p, s)
+            assert _packed_first_gaps(p, s) == gaps, (n, s)
+            if s <= 128:
+                counts = Counter(h % s for h in beta_set(p).heads)
+                assert _runner_counts_by_bytes(p.parts, s) == [counts[r] for r in range(s)], (n, s)
+            assert is_s_core(p, s) == _is_core_by_rows(p, s), (n, s)
+            if s >= 2 and _is_core_by_rows(p, s):
+                assert q_set(p, s).elements == frozenset(gaps)
+            elif s >= 2:
+                with pytest.raises(DomainError, match="-core$"):
+                    q_set(p, s)
+        assert not _is_core_by_rows(cases[0], s)  # the random partitions are not cores
+        if s >= 2:
+            assert q_set(lam, s) == q
 
 
 @given(partition_parts, st.integers(2, 6))

@@ -17,7 +17,7 @@ from stcores.alcoves import (
     side_of,
     simplex_vertices,
 )
-from stcores.orbits import containment_chain
+from stcores.orbits import containment_chain, descend_to_t_core, level_orbit_up_to_size
 from stcores.abacus import core, is_s_core
 from stcores.partitions import (
     Partition,
@@ -93,4 +93,19 @@ S_BELOW_1_CASES = {
 def test_s_below_1_is_one_check(build):
     """The abacus and the hook oracles refuse s < 1 with the one errors.check_modulus message."""
     with pytest.raises(DomainError, match=r"^s must be a positive integer, got -?\d+$"):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: level_orbit_up_to_size(4, 6, 10, Partition((4,))),
+        lambda: descend_to_t_core(Partition((4,)), 4, 6),
+    ],
+    ids=["level_orbit_up_to_size", "descend_to_t_core"],
+)
+def test_pair_is_checked_before_the_start_is_read(build):
+    """A non-coprime pair is reported as such, before the start (here not
+    even a 4-core) is read row by row."""
+    with pytest.raises(DomainError, match=r"^\(4, 6\) must be coprime$"):
         build()
