@@ -100,11 +100,14 @@ def _packed_first_gaps(p: Partition, s: int) -> list[int]:
 
     Row i puts its bead lambda_i - i on runner (lambda_i mod s + (-i mod s))
     mod s.  From 512 rows up, and for s <= 24, the runners are counted in
-    C-level byte passes (``_runner_counts_by_bytes``) instead of one Python
-    step per row.  Those passes cost a few microseconds to set up and then
-    about s/2 ns per row for the s counts, so the loop stays where it is
-    cheaper: below 512 rows, where the set-up is not repaid, and above
-    s = 24, where the counts cost as much as the loop saves.
+    C-level byte passes instead of one Python step per row: byte i - 1 holds
+    lambda_i mod s, one big-int addition adds the periodic bytes -i mod s
+    (each byte sum is at most 2s - 2 < 256, so no byte carries into the
+    next), one ``translate`` folds every byte mod s, and s ``bytes.count``
+    calls read off the runners.  The passes cost a few microseconds to set
+    up and then about s/2 ns per row for the counts, so the loop stays where
+    it is cheaper: below 512 rows, where the set-up is not repaid, and above
+    s = 24, where the counts cost as much as the passes save.
     """
     check_modulus(s)
     check_span(s - 1)  # s first gaps in distinct classes span at least s - 1
@@ -121,14 +124,8 @@ def _packed_first_gaps(p: Partition, s: int) -> list[int]:
 
 
 def _runner_counts_by_bytes(parts, s: int) -> list[int]:
-    """The number of beads lambda_i - i on each runner, for 1 <= s <= 128.
-
-    ``bytes(map(mod, ...))`` gives lambda_i mod s as byte i - 1, and one
-    big-int addition adds the periodic bytes -i mod s (s-1, s-2, ..., 0,
-    repeated).  Each byte sum is at most 2s - 2 < 256, so no byte carries
-    into the next.  One ``translate`` folds every byte mod s, and s
-    ``count`` calls read off the runners.
-    """
+    """The number of beads lambda_i - i on each runner, by the byte passes of
+    ``_packed_first_gaps``; exact for 1 <= s <= 128, where 2s - 2 < 256."""
     n = len(parts)
     shifts = (bytes(range(s - 1, -1, -1)) * (n // s + 1))[:n]
     sums = int.from_bytes(bytes(map(mod, parts, repeat(s))), "little") + int.from_bytes(shifts, "little")

@@ -163,17 +163,21 @@ def test_builder_matches_position_scan():
     assert min(sizes) == 0 and max(sizes) > 10**6
 
 
-def _first_gaps_by_rows(p, s):
-    """Oracle for _packed_first_gaps: count the beads on each runner row by
-    row from the beta-set heads, then stack them on the runner's highest
-    tail bead."""
+def _runner_counts_by_rows(p, s):
+    """Oracle for the bead count of each runner, one beta-set head at a time."""
     counts = Counter(h % s for h in beta_set(p).heads)
+    return [counts[r] for r in range(s)]
+
+
+def _first_gaps_by_rows(p, s):
+    """Oracle for _packed_first_gaps: stack each runner's beads on the
+    runner's highest tail bead."""
     gaps = []
-    for r in range(s):
+    for r, count in enumerate(_runner_counts_by_rows(p, s)):
         x = -(len(p.parts) + 1)
         while x % s != r:
             x -= 1
-        gaps.append(x + s * (counts[r] + 1))
+        gaps.append(x + s * (count + 1))
     return gaps
 
 
@@ -216,10 +220,10 @@ def test_runner_counts_are_exact_across_the_path_bound(s):
             gaps = _first_gaps_by_rows(p, s)
             assert _packed_first_gaps(p, s) == gaps, (n, s)
             if s <= 128:
-                counts = Counter(h % s for h in beta_set(p).heads)
-                assert _runner_counts_by_bytes(p.parts, s) == [counts[r] for r in range(s)], (n, s)
-            assert is_s_core(p, s) == _is_core_by_rows(p, s), (n, s)
-            if s >= 2 and _is_core_by_rows(p, s):
+                assert _runner_counts_by_bytes(p.parts, s) == _runner_counts_by_rows(p, s), (n, s)
+            is_core = _is_core_by_rows(p, s)
+            assert is_s_core(p, s) == is_core, (n, s)
+            if s >= 2 and is_core:
                 assert q_set(p, s).elements == frozenset(gaps)
             elif s >= 2:
                 with pytest.raises(DomainError, match="-core$"):
