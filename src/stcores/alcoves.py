@@ -184,10 +184,17 @@ def in_rhomboid(p: SPoint, t: int) -> bool:
     return all(1 <= b - a <= t for a, b in zip(p.coords, p.coords[1:]))
 
 
-def tip(s: int, t: int) -> SPoint:
-    """The vertex of R^s_t opposite the origin: gaps all equal to t."""
+def _check_rhomboid(s: int, t: int) -> None:
+    """The pair of R^s_t and its span (s-1)t, which bounds the tip and the
+    s-set of every (s,t)-core; capping the span also keeps min(s-1, t), hence
+    the cost of a binomial in s and t, small."""
     check_pair(s, t)
     check_span((s - 1) * t)
+
+
+def tip(s: int, t: int) -> SPoint:
+    """The vertex of R^s_t opposite the origin: gaps all equal to t."""
+    _check_rhomboid(s, t)
     coords = []
     for i in range(1, s + 1):
         num = s - 1 + t * (2 * i - 1 - s)

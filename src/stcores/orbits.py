@@ -27,16 +27,10 @@ from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 
 from .abacus import SSet, _partition_from_first_gaps, core_from_s_set, q_set, size_from_s_set
-from .alcoves import (
-    SPoint,
-    fold_to_dominant,
-    in_rhomboid,
-    sset_of_point,
-    tip,
-)
+from .alcoves import SPoint, _check_rhomboid, fold_to_dominant, in_rhomboid, sset_of_point, tip
 from .affine_actions import _check_generator, _t_cycle
 from . import errors
-from .errors import DomainError, _trusted, check_coords, check_level, check_pair, check_scan, check_span
+from .errors import DomainError, _trusted, check_coords, check_level, check_pair, check_scan
 from .partitions import Partition
 
 
@@ -205,14 +199,11 @@ def anderson_count(s: int, t: int) -> int:
     return num // (s + t)
 
 
-def _check_st_scan(s: int, t: int) -> None:
-    """The refusals of the rhomboid scan: the pair, the span and the scan's
-    candidates."""
-    check_pair(s, t)
-    # every (s,t)-core's s-set lies in the rhomboid, of span at most (s-1)t;
-    # capping it also keeps min(s-1, t), hence the binomial's cost, small
-    check_span((s - 1) * t)
-    check_scan(math.comb(s + t - 1, s - 1) * (s - 1), "enumeration")  # s-1 entries per candidate
+def _enumeration_work(s: int, t: int) -> int:
+    """The price of listing the (s,t)-cores by the gap walk: one unit per core
+    plus one per row, of which an (s,t)-core has at most (s-1)(t-1)/2, one
+    per gap."""
+    return anderson_count(s, t) * ((s - 1) * (t - 1) // 2 + 1)
 
 
 def _iter_st_core_ssets(s: int, t: int):
@@ -225,7 +216,8 @@ def _iter_st_core_ssets(s: int, t: int):
     size s-1 from {0..t}.  The fixed sum gives b_0 = (s-1)(1+t)/2 - sum(p),
     an s-set exactly when b_0 = 0 mod s: one candidate in s (Anderson).
     """
-    _check_st_scan(s, t)
+    _check_rhomboid(s, t)
+    check_scan(math.comb(s + t - 1, s - 1) * (s - 1), "enumeration")  # s-1 entries per candidate
     base = (s - 1) * (1 + t) // 2
     shifts = range(-t, -t * s, -t)  # -tj for j = 1..s-1
     return (
@@ -264,14 +256,10 @@ def enumerate_st_cores(s: int, t: int) -> list[Partition]:
     its size; the buckets, each sorted, are read in ascending size, so no
     (size, parts) pair is built and no sort runs across sizes.
 
-    The work is priced on the output alone: one unit per core plus one per
-    row, of which an (s,t)-core has at most (s-1)(t-1)/2, one per gap.
+    The work is priced on the output alone, by ``_enumeration_work``.
     """
-    check_pair(s, t)
-    # the gap tables below hold st - s - t + 1 < (s-1)t entries; capping that
-    # also keeps min(s-1, t), hence the binomial's cost, small
-    check_span((s - 1) * t)
-    check_scan(anderson_count(s, t) * ((s - 1) * (t - 1) // 2 + 1), "enumeration")
+    _check_rhomboid(s, t)  # the gap tables below hold st - s - t + 1 < (s-1)t entries
+    check_scan(_enumeration_work(s, t), "enumeration")
     top = s * t - s - t  # the largest gap (the Frobenius number); -1 if t = 1
     in_semigroup = bytearray(top + 1)
     for a in range(0, top + 1, s):

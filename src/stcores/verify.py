@@ -180,23 +180,31 @@ def suite_olsson(s_max: int, t_max: int, seed: int, trials: int) -> list[Check]:
     ]
 
 
+def _vandehey_pairs(s_max: int, t_max: int):
+    """The coprime s < t with s <= s_max and t <= t_max, lazily, so that a
+    price summed over them can stop at the cap."""
+    return (
+        (s, t)
+        for s in range(2, min(s_max, t_max - 1) + 1)
+        for t in range(s + 1, t_max + 1)
+        if math.gcd(s, t) == 1
+    )
+
+
 def suite_vandehey(s_max: int, t_max: int, seed: int, trials: int) -> list[Check]:
     kane_bad = []
     count_bad = []
     contain_bad = []
     chain_bad = []
-    for s in range(2, s_max + 1):
-        for t in range(s + 1, t_max + 1):
-            if math.gcd(s, t) != 1:
-                continue
-            kap = orbits.kappa(s, t)
-            if parts.size(kap) != (s * s - 1) * (t * t - 1) // 24:
-                kane_bad.append((s, t))
-            cores = orbits.enumerate_st_cores(s, t)
-            if len(cores) != orbits.anderson_count(s, t):
-                count_bad.append((s, t))
-            if not all(parts.contains(kap, c) for c in cores):
-                contain_bad.append((s, t))
+    for s, t in _vandehey_pairs(s_max, t_max):
+        kap = orbits.kappa(s, t)
+        if parts.size(kap) != (s * s - 1) * (t * t - 1) // 24:
+            kane_bad.append((s, t))
+        cores = orbits.enumerate_st_cores(s, t)
+        if len(cores) != orbits.anderson_count(s, t):
+            count_bad.append((s, t))
+        if not all(parts.contains(kap, c) for c in cores):
+            contain_bad.append((s, t))
     chain_s_max = min(s_max, 5)
     chain_t_max = min(t_max, 5)
     for s in range(2, chain_s_max + 1):
@@ -256,13 +264,9 @@ def _work_olsson(s_max: int, t_max: int, trials: int):
 
 
 def _work_vandehey(s_max: int, t_max: int, trials: int):
-    # C(s+t-1, s-1) candidates of s-1 entries, then C(s+t, s)/(s+t) cores of span
-    # (s-1)t: (s-1) C(s+t, s) in all per pair; the chains stop at s, t <= 5
-    yield s_max
-    for s in range(2, min(s_max, t_max - 1) + 1):
-        for t in range(s + 1, t_max + 1):
-            if math.gcd(s, t) == 1:
-                yield (s - 1) * math.comb(s + t, s)
+    # the enumeration's own price per pair, which also covers kappa's span and
+    # one containment test per core row; the chains stop at s, t <= 5
+    return (orbits._enumeration_work(s, t) for s, t in _vandehey_pairs(s_max, t_max))
 
 
 _WORK = {
@@ -278,7 +282,8 @@ def run_suites(names: list[str], s_max: int, t_max: int, seed: int, trials: int)
     work is summed from closed forms in the suite's own order until it does) or,
     for olsson, if no coprime (s, t) lies under the maxima to draw from."""
     for name in names:
-        if name == "olsson" and not _olsson_pairs(s_max, t_max):
+        # (2, 3) or (3, 2) is such a pair unless a maximum is below 2 or both are 2
+        if name == "olsson" and (min(s_max, t_max) < 2 or max(s_max, t_max) < 3):
             raise DomainError(f"verify --suite olsson needs a coprime (s, t) with "
                               f"2 <= s <= {s_max} and 2 <= t <= {t_max}")
         total = 0

@@ -162,6 +162,29 @@ def test_verify_command(capsys):
     assert "FAIL" not in out
 
 
+def test_vandehey_is_priced_on_the_walk_it_runs(capsys):
+    """The pairs under (10, 13) cost 6,192,746 units of the gap walk, one per
+    core and one per row: under the cap, so the suite runs."""
+    code, out, err = run_cli(capsys, "verify", "--suite", "vandehey", "--s-max", "10", "--t-max", "13")
+    assert (code, err) == (0, "")
+    rows = out.splitlines()
+    assert [row.split()[0] for row in rows[:-1]] == ["PASS"] * 4
+    assert rows[-1] == "4/4 checks passed"
+
+
+def test_olsson_is_refused_from_the_maxima_exactly_when_it_has_no_pair():
+    from stcores.errors import DomainError
+    from stcores.verify import _olsson_pairs, run_suites
+
+    for s_max in range(-1, 6):
+        for t_max in range(-1, 6):
+            if _olsson_pairs(s_max, t_max):
+                assert len(run_suites(["olsson"], s_max, t_max, 0, 1)) == 3, (s_max, t_max)
+            else:
+                with pytest.raises(DomainError, match="^verify --suite olsson needs a coprime"):
+                    run_suites(["olsson"], s_max, t_max, 0, 1)
+
+
 def test_verify_names_first_chain_failure(capsys, monkeypatch):
     from stcores.alcoves import rhomboid_points
 
@@ -281,9 +304,20 @@ _small = st.integers(-3, 9)
 
 @st.composite
 def _small_argv(draw):
-    command = draw(st.sampled_from(["kappa", "count", "enumerate", "orbit-min", "chain", "act"]))
+    command = draw(st.sampled_from(["kappa", "count", "enumerate", "orbit-min", "chain", "act",
+                                    "core", "qset", "verify", "diagram"]))
     s, t = str(draw(_small)), str(draw(_small))
     origin = "(" + ",".join(str(c) for c in range(max(int(s), 2))) + ")"
+    if command in ("core", "qset"):
+        return [command, "--s", s, ",".join(str(part) for part in draw(st.lists(_small, max_size=4)))]
+    if command == "verify":
+        suite = draw(st.sampled_from(["core-oracle", "actions", "olsson", "vandehey", "all"]))
+        trials = str(draw(st.integers(-1, 3)))
+        return [command, "--suite", suite, "--s-max", s, "--t-max", t, "--trials", trials]
+    if command == "diagram":
+        mode = draw(st.sampled_from(["cores", "tcores"]))
+        depth = str(draw(st.integers(-1, 3)))
+        return [command, "--s", s, "--mode", mode, "--depth", depth] + ["--t", t] * draw(st.booleans())
     if command == "orbit-min":
         return [command, "--s", s, "--t", t, draw(st.sampled_from(["", "2"]))]
     if command == "chain":
@@ -299,10 +333,12 @@ def _on_alarm(signum, frame):
     raise TimeoutError("cli.main did not return within the alarm")
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(_small_argv())
 def test_small_and_invalid_parameters_exit_cleanly(argv):
-    """Zero, negative and non-coprime (s, t) end in an exit code, never a hang or traceback."""
+    """Zero, negative and non-coprime (s, t), partitions with zero or negative
+    parts, verify maxima and trials below their floors and diagram depths
+    below 1 end in an exit code, never a hang or traceback."""
     previous = signal.signal(signal.SIGALRM, _on_alarm)
     signal.alarm(10)
     try:
@@ -390,13 +426,16 @@ def test_act_under_its_cap_applies_every_generator(capsys):
         ["act", "chi", "--t", "1", "--word", " ".join(["1"] * 20000), "(" + ",".join(map(str, range(20000))) + ")"],
         # 2.5e9 alcoves
         ["diagram", "--s", "3", "--depth", "100000"],
-        # (6, 59) alone: 5 C(65, 6) = 4.1e8 candidate entries and core beads
+        # (6, 59) alone: 1,270,752 cores of at most 145 rows each, 1.9e8 units of the walk
         ["verify", "--suite", "vandehey", "--t-max", "60"],
         # 4 s^2 (s + 32) steps per random point and level at s = 40: 4.6e5
         ["verify", "--suite", "actions", "--s-max", "40"],
         ["verify", "--suite", "olsson", "--trials", "3000000"],
         # 272 corpus partitions against s up to 3000
         ["verify", "--suite", "core-oracle", "--s-max", "3000"],
+        # olsson's price, 2e9 units for its pairs alone, is read before any pair is listed
+        ["verify", "--s-max", "2", "--t-max", "1000000000"],
+        ["verify", "--suite", "olsson", "--s-max", "100000", "--t-max", "100000"],
         # 5,000 steps of 10,001 elements each: 5.0e7
         ["orbit-min", "--s", "10001", "--t", "2", "10000"],
         # 50,000 steps of 100,001 elements each: 5.0e9
@@ -412,6 +451,8 @@ def test_act_under_its_cap_applies_every_generator(capsys):
         "verify-actions-s-max-40",
         "verify-olsson-trials-3000000",
         "verify-core-oracle-s-max-3000",
+        "verify-t-max-1000000000",
+        "verify-olsson-100000-100000",
         "orbit-min-10001-2",
         "orbit-min-100001-2",
         "orbit-min-2-1-staircase-4500",

@@ -437,9 +437,9 @@ def test_enumeration_refuses_what_the_scan_refuses_with_the_same_text():
         (11, 13): f"enumeration of {math.comb(23, 10) * 10} units of work exceeds the cap of 10000000",
     }
     for (s, t), text in cases.items():
-        for call in (_iter_st_core_ssets, enumerate_st_cores):
-            if call is enumerate_st_cores and (s, t) in ((30, 31), (11, 13)):
-                continue  # the enumeration prices its own output, below
+        for call in (_iter_st_core_ssets, enumerate_st_cores, kappa):
+            if call is not _iter_st_core_ssets and (s, t) in ((30, 31), (11, 13)):
+                continue  # the enumeration prices its own output, below, and kappa is one core
             with pytest.raises(DomainError, match=f"^{re.escape(text)}$"):
                 call(s, t)
     # the enumeration's work is one unit per core plus one per row, at most one row per gap
