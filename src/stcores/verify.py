@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import random
+from itertools import islice
 from typing import Callable
 
 from . import abacus, affine_actions as act, orbits, partitions as parts
@@ -145,23 +146,31 @@ def suite_actions(s_max: int, t_max: int, seed: int, trials: int) -> list[Check]
     ]
 
 
-def _olsson_pairs(s_max: int, t_max: int) -> list[tuple[int, int]]:
-    return [
-        (s, t)
-        for s in range(2, s_max + 1)
-        for t in range(2, t_max + 1)
-        if math.gcd(s, t) == 1
-    ]
+def _olsson_rows(s_max: int, t_max: int) -> list[int]:
+    """For s = 2..s_max, the number of t in 2..t_max coprime to s: the rows of
+    the coprime pairs in the order (s, t)."""
+    return [sum(1 for t in range(2, t_max + 1) if math.gcd(s, t) == 1) for s in range(2, s_max + 1)]
+
+
+def _olsson_pair(rows: list[int], index: int, t_max: int) -> tuple[int, int]:
+    """The coprime pair at index in the order (s, t), found from the row counts
+    without listing the pairs."""
+    s = 2
+    while index >= rows[s - 2]:
+        index -= rows[s - 2]
+        s += 1
+    return s, next(islice((t for t in range(2, t_max + 1) if math.gcd(s, t) == 1), index, None))
 
 
 def suite_olsson(s_max: int, t_max: int, seed: int, trials: int) -> list[Check]:
     rng = random.Random(seed)
-    pairs = _olsson_pairs(s_max, t_max)
+    rows = _olsson_rows(s_max, t_max)
+    count = sum(rows)
     not_score = 0
     descent_diff = 0
     not_monotone = 0
     for _ in range(trials):
-        s, t = rng.choice(pairs)
+        s, t = _olsson_pair(rows, rng.randrange(count), t_max)  # the draw of rng.choice over the pair list
         lam = random_s_core(rng, s, 200)
         tcore = abacus.core(lam, t)
         if not abacus.is_s_core(tcore, s):
@@ -258,8 +267,8 @@ def _work_actions(s_max: int, t_max: int, trials: int):
 
 
 def _work_olsson(s_max: int, t_max: int, trials: int):
-    # the pair list, then per trial up to 40 chi_t steps on s entries, t runners
-    # for the t-core and a descent from a core of at most 200 boxes
+    # the row counts, then per trial the pair's row, up to 40 chi_t steps on s
+    # entries, t runners for the t-core and a descent from a core of at most 200 boxes
     yield s_max * t_max + trials * (40 * s_max + t_max + 200)
 
 

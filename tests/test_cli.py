@@ -172,9 +172,15 @@ def test_vandehey_is_priced_on_the_walk_it_runs(capsys):
     assert rows[-1] == "4/4 checks passed"
 
 
+def _olsson_pairs(s_max, t_max):
+    """Oracle for verify's olsson draws: every coprime (s, t) with
+    2 <= s <= s_max and 2 <= t <= t_max, listed in the order (s, t)."""
+    return [(s, t) for s in range(2, s_max + 1) for t in range(2, t_max + 1) if math.gcd(s, t) == 1]
+
+
 def test_olsson_is_refused_from_the_maxima_exactly_when_it_has_no_pair():
     from stcores.errors import DomainError
-    from stcores.verify import _olsson_pairs, run_suites
+    from stcores.verify import run_suites
 
     for s_max in range(-1, 6):
         for t_max in range(-1, 6):
@@ -183,6 +189,23 @@ def test_olsson_is_refused_from_the_maxima_exactly_when_it_has_no_pair():
             else:
                 with pytest.raises(DomainError, match="^verify --suite olsson needs a coprime"):
                     run_suites(["olsson"], s_max, t_max, 0, 1)
+
+
+def test_olsson_draws_the_pairs_that_choice_draws_from_the_list():
+    """The row counts give each index the pair the list holds there, and
+    randrange over the count takes the stream rng.choice takes over the list."""
+    from stcores.verify import _olsson_pair, _olsson_rows
+
+    for s_max, t_max in [(2, 3), (3, 2), (6, 7), (12, 5), (5, 40), (30, 30)]:
+        pairs = _olsson_pairs(s_max, t_max)
+        rows = _olsson_rows(s_max, t_max)
+        assert sum(rows) == len(pairs)
+        assert [_olsson_pair(rows, k, t_max) for k in range(len(pairs))] == pairs
+        for seed in range(4):
+            listed, counted = random.Random(seed), random.Random(seed)
+            for _ in range(50):
+                assert listed.choice(pairs) == _olsson_pair(rows, counted.randrange(len(pairs)), t_max)
+                assert listed.random() == counted.random()
 
 
 def test_verify_names_first_chain_failure(capsys, monkeypatch):

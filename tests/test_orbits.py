@@ -719,6 +719,30 @@ def test_chain_cores_from_origin_equal_rebuilt_cores(s):
     _assert_cores_are_rebuilt_cores(chain)
 
 
+def test_chain_cores_equal_rebuilt_cores_at_every_step():
+    """On seeded rhomboid points at every pair of the benchmark's gallery
+    workload, and on every rhomboid point of three pairs with t < s, each
+    core grown along the walk is the core rebuilt from its point.  The steps
+    include ones that move several beads and ones whose top tail bead
+    becomes a new last row."""
+    several = new_row = 0
+    for s, t in [(7, 8), (7, 9), (9, 10), (9, 11), (11, 12), (11, 13), (13, 14), (13, 15), (5, 3), (7, 2), (7, 4)]:
+        if t < s:
+            starts = rhomboid_points(s, t)
+        else:
+            rng = random.Random(f"rebuilt:{s}:{t}")
+            starts = [_seeded_rhomboid_point(rng, s, t) for _ in range(6)]
+        for p in starts:
+            chain = containment_chain(p, s, t)
+            _assert_cores_are_rebuilt_cores(chain)
+            for old, new in zip(chain.cores, chain.cores[1:]):
+                # each moved bead adds one box to its row, or a new row of length 1
+                grown = len(new) - len(old) + sum(a != b for a, b in zip(old.parts, new.parts))
+                several += grown >= 2
+                new_row += len(new) > len(old)
+    assert several and new_row, (several, new_row)
+
+
 def test_chain_raises_on_a_shrinking_step(monkeypatch):
     """With the walk aimed at the origin instead of the tip, its steps shrink the
     core, which Lemma 5.3 rules out for a walk to the tip; the walk raises."""
