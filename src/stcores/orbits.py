@@ -352,7 +352,7 @@ def containment_chain(p: SPoint, s: int, t: int) -> ContainmentChain:
     top tail bead -(n+1), n the number of rows, which becomes a new last row
     of length 1.  So a step costs its scan, O(1) per moved bead and one
     tuple copy of the rows.  Walking from the origin, a step takes about
-    3 us at s = 7..10, 4 us at (13, 14), 5.5 us at (20, 21) and 8 us at
+    3 us at s = 7..10, 3.5 us at (13, 14), 5.5 us at (20, 21) and 8 us at
     (30, 31) (Python 3.11, 2-CPU x86 box).
 
     If no generator ever qualifies before the tip is reached, or a step
