@@ -186,8 +186,8 @@ def in_rhomboid(p: SPoint, t: int) -> bool:
 
 def _check_rhomboid(s: int, t: int) -> None:
     """The pair of R^s_t and its span (s-1)t, which bounds the tip and the
-    s-set of every (s,t)-core; capping the span also keeps min(s-1, t), hence
-    the cost of a binomial in s and t, small."""
+    s-set of every (s,t)-core; capping the span also keeps min(s, t), hence
+    Anderson's count of the (s,t)-cores, within that count's own cap."""
     check_pair(s, t)
     check_span((s - 1) * t)
 

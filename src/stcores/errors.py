@@ -22,12 +22,12 @@ MAX_COORD = 2**62
 # bounds the time and the memory.  A core of span n has fewer than n parts,
 # each below n, so the cap also keeps its size below 10**14 < MAX_SIZE.
 MAX_SPAN = 10**7
-# Scanning for (s,t)-cores draws s-1 entries for each of C(s+t-1, s-1)
-# candidates, and listing them builds each core's at most (s-1)(t-1)/2 rows;
-# a gallery walk copies one core per step, an alcove diagram builds one per
-# alcove, and a generator word moves all s coordinates per generator.  Each
-# such count of work, taken from a closed form before the work starts, is
-# capped.
+# Counting (s,t)-cores adds s residue counts for each of (t+1)(s-1) runner
+# multiplier updates, and listing them builds each core's at most
+# (s-1)(t-1)/2 rows; a gallery walk copies one core per step, an alcove
+# diagram builds one per alcove, and a generator word moves all s
+# coordinates per generator.  Each such count of work, taken from a closed
+# form before the work starts, is capped.
 MAX_SCAN = 10**7
 
 

@@ -8,10 +8,11 @@ The crucial facts shaped into algorithms here:
   level-t rhomboid;
 * the (s,t)-cores are exactly the s-cores whose dominant point lies in the
   rhomboid and whose s-set satisfies the bead-closure condition for t, which
-  lets them be counted by a scan of runner gaps, never of partitions; they
-  are listed by the equivalent description of their first-column hook sets
-  as the order ideals of the gaps of the semigroup <s,t> (Anderson), walked
-  depth first so that each core is its parent's rows plus one new first row;
+  lets them be counted by residue class over the runner multipliers, with no
+  partition or s-set built; they are listed by the equivalent description of
+  their first-column hook sets as the order ideals of the gaps of the
+  semigroup <s,t> (Anderson), walked depth first so that each core is its
+  parent's rows plus one new first row;
 * from any rhomboid point there is a gallery walk to the rhomboid tip that
   only crosses hyperplanes separating the start from the tip, along which the
   associated cores grow weakly - a constructive proof that the tip's core
@@ -24,7 +25,7 @@ import math
 from bisect import insort
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 
 from .abacus import SSet, _partition_from_first_gaps, core_from_s_set, q_set, size_from_s_set
 from .alcoves import SPoint, _check_rhomboid, fold_to_dominant, in_rhomboid, sset_of_point, tip
@@ -191,12 +192,23 @@ def kappa(s: int, t: int) -> Partition:
 
 
 def anderson_count(s: int, t: int) -> int:
-    """Number of (s,t)-cores: C(s+t, s) / (s+t)."""
+    """Number of (s,t)-cores: C(s+t, s) / (s+t).
+
+    The binomial is refused before it is built when its bit length may pass
+    14,284: since 2^14284 < 10^4300, a count under the cap converts to text
+    within Python's default limit of 4,300 digits.  With n = s+t and
+    k = min(s, t), C(n, k) < 2^n and C(n, k) <= (en/k)^k bound the bit length
+    by min(n, k(bitlen(n) - bitlen(k) + 3)).
+    """
     check_pair(s, t)
-    num = math.comb(s + t, s)
-    if num % (s + t):
+    n, k = s + t, min(s, t)
+    bits = min(n, k * (n.bit_length() - k.bit_length() + 3))
+    if bits > 14284:
+        raise DomainError(f"count C({n}, {k})/{n} of up to {bits} bits exceeds the cap of 14284 bits")
+    num = math.comb(n, k)
+    if num % n:
         raise RuntimeError("binomial not divisible by s+t despite coprimality")
-    return num // (s + t)
+    return num // n
 
 
 def _enumeration_work(s: int, t: int) -> int:
@@ -206,30 +218,27 @@ def _enumeration_work(s: int, t: int) -> int:
     return anderson_count(s, t) * ((s - 1) * (t - 1) // 2 + 1)
 
 
-def _iter_st_core_ssets(s: int, t: int):
-    """The elements of the s-set of every (s,t)-core, each once, lazily; the
-    checks run on the call.
+def count_st_cores(s: int, t: int) -> int:
+    """Number of (s,t)-cores by a count over the runner multipliers (no
+    closed form).
 
     With b_j in class -tj mod s, the core of {b_0, ..., b_{s-1}} is a t-core
     iff each cyclic step has b_j >= b_{j-1} - t, i.e. b_j = b_0 - tj + s*p_j
-    with 0 <= p_1 <= ... <= p_{s-1} <= t: the C(s+t-1, s-1) multisets of
-    size s-1 from {0..t}.  The fixed sum gives b_0 = (s-1)(1+t)/2 - sum(p),
-    an s-set exactly when b_0 = 0 mod s: one candidate in s (Anderson).
+    with 0 <= p_1 <= ... <= p_{s-1} <= t: a multiset of size s-1 from {0..t}.
+    The fixed sum gives b_0 = (s-1)(1+t)/2 - sum(p), an s-set exactly when
+    b_0 = 0 mod s (Anderson).  So ways[k][r] counts the multisets of k values
+    in {0..v} whose sum is r mod s; admitting v adds to each ways[k] the new
+    ways[k-1], rotated by v.  Each of the (t+1)(s-1) updates adds s entries.
     """
-    _check_rhomboid(s, t)
-    check_scan(math.comb(s + t - 1, s - 1) * (s - 1), "enumeration")  # s-1 entries per candidate
-    base = (s - 1) * (1 + t) // 2
-    shifts = range(-t, -t * s, -t)  # -tj for j = 1..s-1
-    return (
-        [b0, *[b0 + shift + s * pj for shift, pj in zip(shifts, p)]]
-        for p in combinations_with_replacement(range(t + 1), s - 1)
-        if (b0 := base - sum(p)) % s == 0
-    )
-
-
-def count_st_cores(s: int, t: int) -> int:
-    """Number of (s,t)-cores by the real rhomboid scan (no closed form)."""
-    return sum(1 for _ in _iter_st_core_ssets(s, t))
+    check_pair(s, t)
+    check_scan((t + 1) * (s - 1) * s, "core count")
+    ways = [[1] + [0] * (s - 1)] + [[0] * s for _ in range(s - 1)]
+    for v in range(t + 1):
+        shift = v % s
+        for k in range(1, s):
+            prev = ways[k - 1]  # rotated right by shift; at 0, prev[0:] + prev[:0] is prev
+            ways[k] = [a + b for a, b in zip(ways[k], prev[-shift:] + prev[:-shift])]
+    return ways[s - 1][(s - 1) * (1 + t) // 2 % s]
 
 
 def enumerate_st_cores(s: int, t: int) -> list[Partition]:
@@ -329,8 +338,11 @@ def containment_chain(p: SPoint, s: int, t: int) -> ContainmentChain:
     |floor((tip_b - tip_a)/s) - floor((p_b - p_a)/s)|; it is computed once.
     A step moves the floor of the pair (a, b) by exactly one and no other:
     for any other position n, p_n - p_a and p_n - p_b move by 1, and could
-    cross a multiple of s only if p_n shared a class with x or y.  So each
-    step rechecks that one pair.
+    cross a multiple of s only if p_n shared a class with x or y.  With
+    y - x - 1 = -Ms, the pair's floor is -M before the move and -M-1 after,
+    and the step's test t(b - a) < -Ms puts the tip's floor at most -M-1:
+    so each step removes exactly one separating wall, and none needs a
+    recount.
 
     The scan does not restart at 0.  It keeps the invariant that no
     generator below the scan position qualifies.  A move at i changes only
@@ -356,10 +368,9 @@ def containment_chain(p: SPoint, s: int, t: int) -> ContainmentChain:
     (30, 31) (Python 3.11, 2-CPU x86 box).
 
     If no generator ever qualifies before the tip is reached, or a step
-    removes other than exactly one separating wall, or shrinks the core
-    (x < y-1, against Lemma 5.3), or the walk ends away from the tip, the
-    construction itself is falsified, so those states raise rather than
-    being patched over.
+    shrinks the core (x < y-1, against Lemma 5.3), or the walk ends away
+    from the tip, the construction itself is falsified, so those states
+    raise rather than being patched over.
     """
     check_pair(s, t)
     if p.s != s:
@@ -400,10 +411,6 @@ def containment_chain(p: SPoint, s: int, t: int) -> ContainmentChain:
         moved = (x - y + 1) // s  # the beads x-s, ..., y-1; y - x - 1 = -moved*s
         if moved < 0:
             raise RuntimeError(f"gallery step {i} at {q} shrinks the core, against Lemma 5.3")
-        # floor(tip gap / s) - floor((y - x)/s): the pair's walls are |wall| before the move, |wall + 1| after
-        wall = step * (b - a) // s + moved
-        if abs(wall + 1) != abs(wall) - 1:
-            raise RuntimeError("gallery walk crossed more than one separating wall")
         coords[a] = x + 1
         coords[b] = y - 1
         position[i - 1], position[i] = b, a

@@ -57,6 +57,18 @@ def test_scalar_commands(capsys):
     assert run_cli(capsys, "enumerate", "--s", "2", "--t", "3")[:2] == (0, "\n1\n")
 
 
+def test_count_is_refused_before_it_passes_the_digits_python_prints(capsys):
+    """Anderson's count of (7300, 7301)-cores would have 4,389 digits, over
+    Python's default limit of 4,300 for int-to-text: a domain error, with or
+    without --json, where it used to be a ValueError traceback."""
+    code, out, _ = run_cli(capsys, "count", "--s", "7000", "--t", "7001")
+    assert (code, len(out)) == (0, 4210)
+    for extra in ((), ("--json",)):
+        code, out, err = run_cli(capsys, "count", "--s", "7300", "--t", "7301", *extra)
+        assert (code, out) == (2, "")
+        assert "exceeds the cap of 14284 bits" in err and "Traceback" not in err
+
+
 def test_orbit_min_command(capsys):
     code, out, _ = run_cli(capsys, "orbit-min", "--s", "3", "--t", "4", "4,2,1,1")
     assert code == 0

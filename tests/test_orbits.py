@@ -33,7 +33,6 @@ from stcores.alcoves import (
     tip,
 )
 from stcores.orbits import (
-    _iter_st_core_ssets,
     anderson_count,
     containment_chain,
     count_st_cores,
@@ -321,6 +320,34 @@ def test_anderson_count_examples():
         anderson_count(2, -3)
 
 
+def _on_count_alarm(signum, frame):
+    raise TimeoutError("anderson_count did not return within the alarm")
+
+
+def test_anderson_count_is_refused_before_its_binomial_is_built():
+    """The bound min(n, k(bitlen(n) - bitlen(k) + 3)) on the bits of C(n, k)
+    admits counts that print in under 4,300 digits, refuses some that would
+    just fit and all that would not, and decides at once, before a binomial
+    of millions of bits is built."""
+    assert len(str(anderson_count(7000, 7001))) == 4209
+    assert len(str(anderson_count(2000, 20001))) == 2905
+    assert anderson_count(2, 10**9 + 1) == 10**9 // 2 + 1
+    # of the pairs the span cap on (s-1)t admits, this one has the largest bound: 8,487 bits
+    assert anderson_count(1415, 7072) == math.comb(8487, 1415) // 8487
+    previous = signal.signal(signal.SIGALRM, _on_count_alarm)
+    signal.alarm(1)
+    try:
+        for (s, t), text in {
+            (7300, 7301): "count C(14601, 7300)/14601 of up to 14601 bits exceeds the cap of 14284 bits",
+            (3000001, 3000000): "count C(6000001, 3000000)/6000001 of up to 6000001 bits exceeds the cap of 14284 bits",
+        }.items():
+            with pytest.raises(DomainError, match=f"^{re.escape(text)}$"):
+                anderson_count(s, t)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def test_enumerate_examples():
     got = enumerate_st_cores(3, 4)
     assert set(got) == {P(), P(1), P(2), P(1, 1), P(3, 1, 1)}
@@ -384,7 +411,8 @@ def test_enumeration_near_its_cap_is_fast_and_small():
 
 
 def _runner_gap_scan(s, t):
-    """Oracle for the rhomboid scan: the runner-gap tree, walked recursively.
+    """The s-sets of the (s,t)-cores by the runner-gap tree, walked
+    recursively: the gap walk's witness, independent of the library.
 
     With b_j in residue class -tj mod s, each step b_j = b_{j-1} - t + s*m_j
     takes a multiplier m_j >= 0 with m_1 + ... + m_{s-1} <= t; the fixed
@@ -409,20 +437,39 @@ def _runner_gap_scan(s, t):
     return found
 
 
-def test_scan_matches_runner_gap_tree():
+def test_count_by_runner_multipliers_equals_anderson_and_the_runner_gap_scan():
+    """The count over runner multipliers against Anderson's closed form, with
+    t = 1 and s > t among the pairs, and against the runner-gap tree, whose
+    s-sets are distinct; then at pairs whose C(s+t-1, s-1) multisets no scan
+    could list."""
+    for s in range(2, 41):
+        for t in range(1, 41):
+            if math.gcd(s, t) == 1:
+                assert count_st_cores(s, t) == anderson_count(s, t), (s, t)
     for s in range(2, 10):
         for t in range(1, 13):
             if math.gcd(s, t) == 1:
-                fast = [frozenset(els) for els in _iter_st_core_ssets(s, t)]
-                assert len(set(fast)) == len(fast) == anderson_count(s, t), (s, t)
-                assert set(fast) == set(_runner_gap_scan(s, t)), (s, t)
+                scanned = _runner_gap_scan(s, t)
+                assert count_st_cores(s, t) == len(set(scanned)) == len(scanned), (s, t)
+    for s, t in ((11, 13), (12, 13), (30, 31), (100, 101)):
+        assert count_st_cores(s, t) == anderson_count(s, t), (s, t)
 
 
 def test_scan_is_refused_beyond_its_cap():
-    with pytest.raises(DomainError):
-        _iter_st_core_ssets(30, 31)  # C(60, 29) candidates, refused on the call
-    # 4,474 candidates pass the scan, but 2,237 cores of span up to 4,473 do not
+    """The count adds s residue counts per value of {0..t} and multiset size
+    1..s-1: (t+1)(s-1)s units, so it is asymmetric in s and t and refused on
+    the call, before any list is built."""
     assert count_st_cores(2, 4473) == 2237
+    assert count_st_cores(215, 216) == anderson_count(215, 216)
+    for (s, t), text in {
+        (4473, 2): f"core count of {3 * 4472 * 4473} units of work exceeds the cap of 10000000",
+        (216, 217): f"core count of {218 * 215 * 216} units of work exceeds the cap of 10000000",
+        (4, 6): "(4, 6) must be coprime",
+        (1, 3): "need s >= 2, got 1",
+        (3, 0): "t must be a positive integer, got 0",
+    }.items():
+        with pytest.raises(DomainError, match=f"^{re.escape(text)}$"):
+            count_st_cores(s, t)
     # priced on its output, 2,237 cores of at most 2,236 rows, the enumeration admits them
     assert len(enumerate_st_cores(2, 4473)) == anderson_count(2, 4473) == 2237
 
@@ -433,13 +480,9 @@ def test_enumeration_refuses_what_the_scan_refuses_with_the_same_text():
         (1, 3): "need s >= 2, got 1",
         (3, 0): "t must be a positive integer, got 0",
         (2, 10**7 + 1): "abacus span of 10000001 positions exceeds the cap of 10000000",
-        (30, 31): f"enumeration of {math.comb(60, 29) * 29} units of work exceeds the cap of 10000000",
-        (11, 13): f"enumeration of {math.comb(23, 10) * 10} units of work exceeds the cap of 10000000",
     }
     for (s, t), text in cases.items():
-        for call in (_iter_st_core_ssets, enumerate_st_cores, kappa):
-            if call is not _iter_st_core_ssets and (s, t) in ((30, 31), (11, 13)):
-                continue  # the enumeration prices its own output, below, and kappa is one core
+        for call in (enumerate_st_cores, kappa):
             with pytest.raises(DomainError, match=f"^{re.escape(text)}$"):
                 call(s, t)
     # the enumeration's work is one unit per core plus one per row, at most one row per gap
@@ -449,7 +492,7 @@ def test_enumeration_refuses_what_the_scan_refuses_with_the_same_text():
     }.items():
         with pytest.raises(DomainError, match=f"^enumeration of {work} units of work exceeds the cap of 10000000$"):
             enumerate_st_cores(s, t)
-    # so it admits what the scan refuses, and either order of the pair
+    # and it admits, in either order of the pair, what its price allows
     for s, t in ((11, 13), (2, 4473), (100, 3), (3, 100)):
         assert len(enumerate_st_cores(s, t)) == anderson_count(s, t), (s, t)
     assert enumerate_st_cores(2000, 1) == [P()]
@@ -462,7 +505,7 @@ def test_gap_walk_equals_rhomboid_scan():
     for s in range(2, 10):
         for t in range(1, 13):
             if math.gcd(s, t) == 1:
-                scanned = (_partition_from_first_gaps(els, s) for els in _iter_st_core_ssets(s, t))
+                scanned = (_partition_from_first_gaps(els, s) for els in _runner_gap_scan(s, t))
                 walked = enumerate_st_cores(s, t)
                 assert walked == sorted(scanned, key=lambda p: (size(p), p.parts)), (s, t)
                 assert walked[-1] == kappa(s, t), (s, t)
@@ -492,7 +535,7 @@ def test_kappa_first_column_hooks_are_the_gaps_of_the_semigroup(s, t):
 
 
 def test_scanned_cores_have_hook_sets_that_are_order_ideals_of_the_gaps():
-    """Every core of the rhomboid scan has first-column hooks that are gaps of
+    """Every core of the runner-gap scan has first-column hooks that are gaps of
     <s,t>, closed under h -> h-s and h -> h-t while positive, and no two
     share them (Anderson 2002): the scan and the gap walk meet only at the
     partitions."""
@@ -502,7 +545,7 @@ def test_scanned_cores_have_hook_sets_that_are_order_ideals_of_the_gaps():
                 continue
             gaps = _semigroup_gaps(s, t)
             ideals = set()
-            for elements in _iter_st_core_ssets(s, t):
+            for elements in _runner_gap_scan(s, t):
                 hooks = _first_column_hooks(_partition_from_first_gaps(elements, s).parts)
                 assert hooks <= gaps, (s, t, elements)
                 assert all(h - d in hooks for h in hooks for d in (s, t) if h > d), (s, t, elements)
