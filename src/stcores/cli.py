@@ -47,9 +47,12 @@ def _emit_steps(args, input_obj, final_key, final, steps, s, t) -> None:
 
     Plain output is one line per step and the final core last.  With --json
     the envelope goes out in pieces, one {"step", "gen", "sset", "core"}
-    record per step, that add up to json.dumps of the whole payload.
+    record per step, that add up to json.dumps of the whole payload.  Only
+    the step at hand is held, and its core is written through one memo of
+    part names for the whole printout (``partitions.to_text_memo``).
     """
     write = sys.stdout.write  # looked up per call, so a redirected stdout is honoured
+    core_text = parts.to_text_memo()
     if args.json:
         import json
 
@@ -58,7 +61,7 @@ def _emit_steps(args, input_obj, final_key, final, steps, s, t) -> None:
         head, _, tail = json.dumps(envelope).rpartition("[]")
         write(head + "[")
     for n, (i, q, core) in enumerate(steps, start=1):
-        record = {"step": n, "gen": i, "sset": abacus.sset_to_text(q), "core": parts.to_text(core)}
+        record = {"step": n, "gen": i, "sset": abacus.sset_to_text(q), "core": core_text(core)}
         if args.json:
             write((", " if n > 1 else "") + json.dumps(record))
         else:
@@ -109,14 +112,14 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    cores = [parts.to_text(p) for p in orbits.enumerate_st_cores(args.s, args.t)]
+    cores = list(map(parts.to_text_memo(), orbits.enumerate_st_cores(args.s, args.t)))
     _emit(args, {}, cores, s=args.s, t=args.t, plain=cores)
     return 0
 
 
 def _cmd_orbit_min(args) -> int:
-    lam = parts.from_text(args.partition)
-    nu, trace = orbits.descend_to_t_core(lam, args.s, args.t)
+    # the parsed input is not kept: the trace replays the descent from its s-set
+    nu, trace = orbits.descend_to_t_core(parts.from_text(args.partition), args.s, args.t)
     # a step prints its s elements and rebuilds its core across the s-set's
     # span: bound the steps, then the replayed spans, before the first byte
     check_scan(len(trace) * args.s, "descent printout")

@@ -29,14 +29,25 @@ MAX_SPAN = 10**7
 # coordinates per generator.  Each such count of work, taken from a closed
 # form before the work starts, is capped.
 MAX_SCAN = 10**7
+# Anderson's count is printed only up to this many bits: Python converts at
+# most 4,300 digits of an int to text by default, and 2^14284 < 10^4300.
+MAX_COUNT_BITS = 14284
 
 
 class DomainError(ValueError):
     """Invalid input for the requested operation."""
 
 
+def check_int(value, what: str) -> None:
+    """An exact int: a float passes every comparison below and a bool is
+    printed as True, so both are refused where they enter."""
+    if type(value) is not int:
+        raise DomainError(f"{what} must be an integer, got {value!r}")
+
+
 def check_s(s: int) -> None:
     """The number of runners or coordinates: s >= 2."""
+    check_int(s, "s")
     if s < 2:
         raise DomainError(f"need s >= 2, got {s}")
 
@@ -44,12 +55,14 @@ def check_s(s: int) -> None:
 def check_modulus(s: int) -> None:
     """The modulus of a hook length or a runner count, outside the level-t
     statements: s >= 1."""
+    check_int(s, "s")
     if s < 1:
         raise DomainError(f"s must be a positive integer, got {s}")
 
 
 def check_level(t: int) -> None:
     """The level of an action or rhomboid: t >= 1."""
+    check_int(t, "t")
     if t < 1:
         raise DomainError(f"t must be a positive integer, got {t}")
 
@@ -83,6 +96,8 @@ def check_scan(work: int, what: str) -> None:
 def check_s_set(s: int, elements) -> None:
     """The contract of both SSet and SPoint: s >= 2 integers within MAX_COORD,
     pairwise incongruent mod s, summing to s(s-1)/2."""
+    if not {int}.issuperset(map(type, elements)):
+        check_int(next(a for a in elements if type(a) is not int), "elements")
     check_coords(elements)
     check_s(s)
     if len(elements) != s:

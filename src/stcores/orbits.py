@@ -31,7 +31,7 @@ from .abacus import SSet, _partition_from_first_gaps, core_from_s_set, q_set, si
 from .alcoves import SPoint, _check_rhomboid, fold_to_dominant, in_rhomboid, sset_of_point, tip
 from .affine_actions import _check_generator, _t_cycle
 from . import errors
-from .errors import DomainError, _trusted, check_coords, check_level, check_pair, check_scan
+from .errors import MAX_COUNT_BITS, DomainError, _trusted, check_coords, check_level, check_pair, check_scan
 from .partitions import Partition
 
 
@@ -191,24 +191,44 @@ def kappa(s: int, t: int) -> Partition:
     return core_from_s_set(sset_of_point(tip(s, t)))
 
 
+def _log2_binomial(n: int, k: int) -> float:
+    """log2 C(n, k) for 1 <= k <= n/2 and k < 2^1024, from above and within
+    1/4 bit: Stirling's formula k log(n/k) - (n-k) log1p(-k/n)
+    - log(2 pi k (1 - k/n))/2 exceeds log C(n, k) by between 0 and 1/6 nats
+    (Robbins' bounds on log m!).  With x = k/n the middle term is taken as
+    k (1 - x) g, g = -log1p(-x)/x, so that it keeps its precision for k << n
+    and never makes a float of n."""
+    x = k / n
+    g = -math.log1p(-x) / x if x else 1.0
+    nats = k * (math.log(n) - math.log(k)) + k * (1 - x) * g - math.log(2 * math.pi * k * (1 - x)) / 2
+    return nats / math.log(2)
+
+
 def anderson_count(s: int, t: int) -> int:
     """Number of (s,t)-cores: C(s+t, s) / (s+t).
 
-    The binomial is refused before it is built when its bit length may pass
-    14,284: since 2^14284 < 10^4300, a count under the cap converts to text
-    within Python's default limit of 4,300 digits.  With n = s+t and
-    k = min(s, t), C(n, k) < 2^n and C(n, k) <= (en/k)^k bound the bit length
-    by min(n, k(bitlen(n) - bitlen(k) + 3)).
+    A count of more than MAX_COUNT_BITS bits is refused, and its binomial is
+    not built: with n = s+t and k = min(s, t), the count has at least
+    k - bitlen(n) bits (C(n, k) >= 2^k, as n >= 2k), and at least
+    log2 C(n, k) - log2(n) - 1/4 by Stirling's formula.  Past either lower
+    bound the count is refused at once; else the binomial has at most
+    MAX_COUNT_BITS + 1/4 + log2(n) bits, and the count's own length decides.
     """
     check_pair(s, t)
     n, k = s + t, min(s, t)
-    bits = min(n, k * (n.bit_length() - k.bit_length() + 3))
-    if bits > 14284:
-        raise DomainError(f"count C({n}, {k})/{n} of up to {bits} bits exceeds the cap of 14284 bits")
-    num = math.comb(n, k)
-    if num % n:
-        raise RuntimeError("binomial not divisible by s+t despite coprimality")
-    return num // n
+    bits = k - n.bit_length()
+    if bits <= MAX_COUNT_BITS:
+        bits = _log2_binomial(n, k) - math.log2(n) - 0.25
+        if bits <= MAX_COUNT_BITS:
+            count, rem = divmod(math.comb(n, k), n)
+            if rem:
+                raise RuntimeError("binomial not divisible by s+t despite coprimality")
+            bits = count.bit_length()
+            if bits <= MAX_COUNT_BITS:
+                return count
+    # s and t, not n = s+t, which may have one digit more than Python prints
+    raise DomainError(f"count of ({s}, {t})-cores of at least {math.floor(bits)} bits "
+                      f"exceeds the cap of {MAX_COUNT_BITS} bits")
 
 
 def _enumeration_work(s: int, t: int) -> int:
@@ -229,8 +249,12 @@ def count_st_cores(s: int, t: int) -> int:
     b_0 = 0 mod s (Anderson).  So ways[k][r] counts the multisets of k values
     in {0..v} whose sum is r mod s; admitting v adds to each ways[k] the new
     ways[k-1], rotated by v.  Each of the (t+1)(s-1) updates adds s entries.
+    The (s,t)-cores are the (t,s)-cores, so the count runs in the cheaper
+    order, and its price is symmetric in s and t.
     """
     check_pair(s, t)
+    if t > 1 and (s + 1) * (t - 1) * t < (t + 1) * (s - 1) * s:
+        s, t = t, s
     check_scan((t + 1) * (s - 1) * s, "core count")
     ways = [[1] + [0] * (s - 1)] + [[0] * s for _ in range(s - 1)]
     for v in range(t + 1):

@@ -14,7 +14,7 @@ machinery with it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .errors import MAX_SIZE, DomainError, _read_ints, check_modulus
 
@@ -34,7 +34,7 @@ class Partition:
         total = 0
         prev = None
         for part in self.parts:
-            if not isinstance(part, int) or part < 1:
+            if type(part) is not int or part < 1:  # a bool or a float would not print back
                 raise DomainError(f"parts must be positive integers, got {part!r}")
             if prev is not None and part > prev:
                 raise DomainError(f"parts must be weakly decreasing: {self.parts}")
@@ -63,7 +63,31 @@ def from_text(text: str) -> Partition:
 
 
 def to_text(p: Partition) -> str:
-    return ",".join(str(part) for part in p.parts)
+    return ",".join(map(str, p.parts))
+
+
+class _PartNames(dict):
+    """part -> str(part), filled on first use; it holds the distinct parts seen."""
+
+    def __missing__(self, part: int) -> str:
+        name = self[part] = str(part)
+        return name
+
+
+def to_text_memo() -> Callable[[Partition], str]:
+    """A ``to_text`` for the many partitions of one printout.
+
+    The cores of one printout share most of their part values (a descent
+    trace of 600,000 rows has a few thousand), so each distinct part is
+    converted once, into a dict that only ever holds the parts printed, and
+    each row is one C-level join of memo lookups.
+    """
+    name, join = _PartNames().__getitem__, ",".join
+
+    def text(p: Partition) -> str:
+        return join(map(name, p.parts))
+
+    return text
 
 
 def size(p: Partition) -> int:

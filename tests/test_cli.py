@@ -586,6 +586,22 @@ def test_streamed_steps_equal_the_whole_payload_built_at_once():
         assert '"steps": []' in _streamed(argv + ["--json"])
 
 
+def test_memo_printout_equals_to_text_at_benchmark_scale():
+    """orbit-min of a seeded 1.1e6-box 11-core at (11, 13) prints 702 steps,
+    713,000 rows; enumerate --s 8 --t 11 prints 3,978 cores.  Written through
+    one memo of part names, both are byte for byte the output that formats
+    every core with to_text, plain and --json."""
+    q = abacus.make_sset(11, random_s_point(random.Random("bench-scale:2"), 11, 200).coords)
+    lam = abacus.core_from_s_set(q)
+    argv = ["orbit-min", "--s", "11", "--t", "13", parts.to_text(lam)]
+    for json_mode in (False, True):
+        assert _streamed(argv + ["--json"] * json_mode) == _reference_orbit_min(lam, 11, 13, json_mode)
+    cores = [parts.to_text(p) for p in orbits.enumerate_st_cores(8, 11)]
+    assert _streamed(["enumerate", "--s", "8", "--t", "11"]) == "".join(c + "\n" for c in cores)
+    got = json.loads(_streamed(["enumerate", "--s", "8", "--t", "11", "--json"]))
+    assert got["result"] == cores
+
+
 class _Discard(io.TextIOBase):
     """A text sink that keeps only the count of characters written to it."""
 
@@ -617,3 +633,31 @@ def test_orbit_min_holds_one_core_at_a_time():
             tracemalloc.stop()
         assert sink.written > 1_500_000, json_mode
         assert peak < sink.written / 4, (json_mode, peak, sink.written)
+
+
+def test_printout_memo_holds_the_parts_printed_not_the_largest():
+    """A 1001-core of 1,001 rows whose first row is 1,001,000 descends at
+    t = 100,101 in 10 steps, whose cores have about 1,000 rows and first rows
+    up to 900,899.  The memo of part names holds the 4,609 distinct parts
+    printed: a list indexed up to the largest part would take 8 bytes per
+    position, 7.2 MB, and the traced peak stays below a quarter of that."""
+    s, t = 1001, 100101
+    q = abacus.make_sset(s, [r - s for r in range(s - 1)] + [s - 1 + s * (s - 1)])
+    lam = abacus.core_from_s_set(q)
+    nu, trace = orbits.descend_to_t_core(lam, s, t)
+    largest = max(abacus.core_from_s_set(q).parts[0] for _, q in trace.iter_steps())
+    assert (len(lam.parts), lam.parts[0], len(trace), largest) == (1001, 1001000, 10, 900899)
+    argv = ["orbit-min", "--s", str(s), "--t", str(t), parts.to_text(lam)]
+    with redirect_stdout(_Discard()):
+        cli.main(["orbit-min", "--s", "3", "--t", "4", "4,2,1,1"])
+    out = io.StringIO()
+    tracemalloc.start()
+    try:
+        with redirect_stdout(out):
+            assert cli.main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    lines = out.getvalue().split("\n")
+    assert len(lines) == 12 and lines[-2] == parts.to_text(nu)
+    assert peak < 8 * largest / 4, peak

@@ -17,7 +17,13 @@ from stcores.alcoves import (
     side_of,
     simplex_vertices,
 )
-from stcores.orbits import containment_chain, descend_to_t_core, level_orbit_up_to_size
+from stcores.orbits import (
+    anderson_count,
+    containment_chain,
+    count_st_cores,
+    descend_to_t_core,
+    level_orbit_up_to_size,
+)
 from stcores.abacus import core, is_s_core
 from stcores.partitions import (
     Partition,
@@ -68,6 +74,16 @@ BOUNDARY_CASES = {
     "meets_rhomboid_hyperplane_outside_space": lambda: hyperplane_meets_rhomboid(
         Hyperplane(1, 4, 1), 3, 4
     ),
+    # exact ints only: a float or a bool passes the comparisons, then breaks a
+    # later step or prints as text that does not read back
+    "make_sset_floats": lambda: make_sset(2, [0.0, 1.0]),
+    "spoint_floats": lambda: SPoint((0.0, 1.0)),
+    "spoint_bool": lambda: SPoint((True, 0)),
+    "partition_bools": lambda: Partition((True, True)),
+    "partition_float": lambda: Partition((2.0, 1)),
+    "count_float_s": lambda: anderson_count(2.0, 3),
+    "count_st_cores_bool_t": lambda: count_st_cores(3, True),
+    "chain_float_t": lambda: containment_chain(origin(3), 3, 4.0),
 }
 
 

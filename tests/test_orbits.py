@@ -33,6 +33,7 @@ from stcores.alcoves import (
     tip,
 )
 from stcores.orbits import (
+    _log2_binomial,
     anderson_count,
     containment_chain,
     count_st_cores,
@@ -325,27 +326,51 @@ def _on_count_alarm(signum, frame):
 
 
 def test_anderson_count_is_refused_before_its_binomial_is_built():
-    """The bound min(n, k(bitlen(n) - bitlen(k) + 3)) on the bits of C(n, k)
-    admits counts that print in under 4,300 digits, refuses some that would
-    just fit and all that would not, and decides at once, before a binomial
-    of millions of bits is built."""
+    """A count of at most 14,284 bits, which prints in under 4,300 digits, is
+    admitted, and one bit more is refused: at s = 2000 the edge is t = 103,769.
+    Lower bounds on the count's bits (2^k, then Stirling's formula) decide at
+    once, before a binomial of millions of bits is built."""
     assert len(str(anderson_count(7000, 7001))) == 4209
     assert len(str(anderson_count(2000, 20001))) == 2905
     assert anderson_count(2, 10**9 + 1) == 10**9 // 2 + 1
-    # of the pairs the span cap on (s-1)t admits, this one has the largest bound: 8,487 bits
     assert anderson_count(1415, 7072) == math.comb(8487, 1415) // 8487
+    # the old bound k(bitlen(n) - bitlen(k) + 3) on C(n, k) refused these from t = 30,769 on
+    assert anderson_count(2000, 30769) == math.comb(32769, 2000) // 32769
+    assert anderson_count(2000, 103769).bit_length() == 14284
+    # t = 1 has one core however large s is, and s has 1,001 bits here
+    assert anderson_count(2**1000 + 1, 1) == 1
     previous = signal.signal(signal.SIGALRM, _on_count_alarm)
     signal.alarm(1)
     try:
         for (s, t), text in {
-            (7300, 7301): "count C(14601, 7300)/14601 of up to 14601 bits exceeds the cap of 14284 bits",
-            (3000001, 3000000): "count C(6000001, 3000000)/6000001 of up to 6000001 bits exceeds the cap of 14284 bits",
+            (2000, 103771): "count of (2000, 103771)-cores of at least 14285 bits exceeds the cap of 14284 bits",
+            (7300, 7301): "count of (7300, 7301)-cores of at least 14579 bits exceeds the cap of 14284 bits",
+            (3000001, 3000000): "count of (3000001, 3000000)-cores of at least 2999977 bits exceeds the cap of 14284 bits",
         }.items():
             with pytest.raises(DomainError, match=f"^{re.escape(text)}$"):
                 anderson_count(s, t)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def test_anderson_count_builds_only_binomials_near_the_cap(monkeypatch):
+    """Stirling's estimate of log2 C(n, k) is above the exact value by at most
+    1/4 bit, so a count it puts past the cap is refused without its binomial."""
+    rng = random.Random("stirling")
+    for _ in range(300):
+        n = rng.randrange(2, 20000)
+        k = rng.randrange(1, n // 2 + 1)
+        assert 0 <= _log2_binomial(n, k) - math.log2(math.comb(n, k)) <= 0.25, (n, k)
+
+    def refused_unbuilt(n, k):
+        raise AssertionError(f"built C({n}, {k})")
+
+    monkeypatch.setattr(math, "comb", refused_unbuilt)
+    # t = 103,771 to 103,777 are refused on the built count, from 103,779 on unbuilt
+    for s, t in ((7300, 7301), (2000, 103779), (3000001, 3000000)):
+        with pytest.raises(DomainError, match="exceeds the cap of 14284 bits$"):
+            anderson_count(s, t)
 
 
 def test_enumerate_examples():
@@ -457,13 +482,14 @@ def test_count_by_runner_multipliers_equals_anderson_and_the_runner_gap_scan():
 
 def test_scan_is_refused_beyond_its_cap():
     """The count adds s residue counts per value of {0..t} and multiset size
-    1..s-1: (t+1)(s-1)s units, so it is asymmetric in s and t and refused on
-    the call, before any list is built."""
-    assert count_st_cores(2, 4473) == 2237
+    1..s-1: (t+1)(s-1)s units.  It runs in the cheaper of the two orders, so
+    its price is symmetric in s and t, and it is refused on the call, before
+    any list is built."""
+    assert count_st_cores(2, 4473) == count_st_cores(4473, 2) == 2237
     assert count_st_cores(215, 216) == anderson_count(215, 216)
     for (s, t), text in {
-        (4473, 2): f"core count of {3 * 4472 * 4473} units of work exceeds the cap of 10000000",
         (216, 217): f"core count of {218 * 215 * 216} units of work exceeds the cap of 10000000",
+        (217, 216): f"core count of {218 * 215 * 216} units of work exceeds the cap of 10000000",
         (4, 6): "(4, 6) must be coprime",
         (1, 3): "need s >= 2, got 1",
         (3, 0): "t must be a positive integer, got 0",
