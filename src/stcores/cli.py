@@ -112,8 +112,9 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    cores = list(map(parts.to_text_memo(), orbits.enumerate_st_cores(args.s, args.t)))
-    _emit(args, {}, cores, s=args.s, t=args.t, plain=cores)
+    # plain lines are written as they are formatted, so no list of them is held
+    cores = map(parts.to_text_memo(), orbits.enumerate_st_cores(args.s, args.t))
+    _emit(args, {}, list(cores) if args.json else None, s=args.s, t=args.t, plain=cores)
     return 0
 
 

@@ -93,6 +93,34 @@ def check_scan(work: int, what: str) -> None:
         raise DomainError(f"{what} of {work} units of work exceeds the cap of {MAX_SCAN}")
 
 
+def count_bits_below(n: int, k: int) -> float:
+    """A lower bound on log2 of C(n, k)/n, 1 <= k <= n/2, short of it by at
+    most 1/4 bit when the bound is at most MAX_COUNT_BITS.
+
+    C(n, k) >= 2^k gives k - bitlen(n).  Under the cap, k < 2^1024, and
+    Stirling's formula k log(n/k) - (n-k) log1p(-k/n) - log(2 pi k (1-k/n))/2
+    exceeds log C(n, k) by between 0 and 1/6 nats (Robbins' bounds on
+    log m!), so less a quarter bit it is a bound too.  With x = k/n the middle
+    term is taken as k (1 - x) g, g = -log1p(-x)/x, so that it keeps its
+    precision for k << n and never makes a float of n.
+    """
+    bits = k - n.bit_length()
+    if bits > MAX_COUNT_BITS:
+        return bits
+    x = k / n
+    g = -math.log1p(-x) / x if x else 1.0
+    nats = k * (math.log(n) - math.log(k)) + k * (1 - x) * g - math.log(2 * math.pi * k * (1 - x)) / 2
+    return nats / math.log(2) - math.log2(n) - 0.25
+
+
+def check_count_bits(s: int, t: int, bits: float) -> None:
+    """Anderson's count of (s,t)-cores, of at least ``bits`` bits, prints."""
+    if bits > MAX_COUNT_BITS:
+        # s and t, not n = s+t, which may have one digit more than Python prints
+        raise DomainError(f"count of ({s}, {t})-cores of at least {math.floor(bits)} bits "
+                          f"exceeds the cap of {MAX_COUNT_BITS} bits")
+
+
 def check_s_set(s: int, elements) -> None:
     """The contract of both SSet and SPoint: s >= 2 integers within MAX_COORD,
     pairwise incongruent mod s, summing to s(s-1)/2."""

@@ -31,7 +31,8 @@ from .abacus import SSet, _partition_from_first_gaps, core_from_s_set, q_set, si
 from .alcoves import SPoint, _check_rhomboid, fold_to_dominant, in_rhomboid, sset_of_point, tip
 from .affine_actions import _check_generator, _t_cycle
 from . import errors
-from .errors import MAX_COUNT_BITS, DomainError, _trusted, check_coords, check_level, check_pair, check_scan
+from .errors import DomainError, _trusted, check_coords, check_count_bits, check_level, check_pair, check_scan
+from .errors import count_bits_below
 from .partitions import Partition
 
 
@@ -191,44 +192,21 @@ def kappa(s: int, t: int) -> Partition:
     return core_from_s_set(sset_of_point(tip(s, t)))
 
 
-def _log2_binomial(n: int, k: int) -> float:
-    """log2 C(n, k) for 1 <= k <= n/2 and k < 2^1024, from above and within
-    1/4 bit: Stirling's formula k log(n/k) - (n-k) log1p(-k/n)
-    - log(2 pi k (1 - k/n))/2 exceeds log C(n, k) by between 0 and 1/6 nats
-    (Robbins' bounds on log m!).  With x = k/n the middle term is taken as
-    k (1 - x) g, g = -log1p(-x)/x, so that it keeps its precision for k << n
-    and never makes a float of n."""
-    x = k / n
-    g = -math.log1p(-x) / x if x else 1.0
-    nats = k * (math.log(n) - math.log(k)) + k * (1 - x) * g - math.log(2 * math.pi * k * (1 - x)) / 2
-    return nats / math.log(2)
-
-
 def anderson_count(s: int, t: int) -> int:
     """Number of (s,t)-cores: C(s+t, s) / (s+t).
 
-    A count of more than MAX_COUNT_BITS bits is refused, and its binomial is
-    not built: with n = s+t and k = min(s, t), the count has at least
-    k - bitlen(n) bits (C(n, k) >= 2^k, as n >= 2k), and at least
-    log2 C(n, k) - log2(n) - 1/4 by Stirling's formula.  Past either lower
-    bound the count is refused at once; else the binomial has at most
-    MAX_COUNT_BITS + 1/4 + log2(n) bits, and the count's own length decides.
+    A count of more than MAX_COUNT_BITS bits is refused, most of them on a
+    lower bound before the binomial is built (``errors.count_bits_below``),
+    the rest on the count's own length.
     """
     check_pair(s, t)
     n, k = s + t, min(s, t)
-    bits = k - n.bit_length()
-    if bits <= MAX_COUNT_BITS:
-        bits = _log2_binomial(n, k) - math.log2(n) - 0.25
-        if bits <= MAX_COUNT_BITS:
-            count, rem = divmod(math.comb(n, k), n)
-            if rem:
-                raise RuntimeError("binomial not divisible by s+t despite coprimality")
-            bits = count.bit_length()
-            if bits <= MAX_COUNT_BITS:
-                return count
-    # s and t, not n = s+t, which may have one digit more than Python prints
-    raise DomainError(f"count of ({s}, {t})-cores of at least {math.floor(bits)} bits "
-                      f"exceeds the cap of {MAX_COUNT_BITS} bits")
+    check_count_bits(s, t, count_bits_below(n, k))
+    count, rem = divmod(math.comb(n, k), n)
+    if rem:
+        raise RuntimeError("binomial not divisible by s+t despite coprimality")
+    check_count_bits(s, t, count.bit_length())
+    return count
 
 
 def _enumeration_work(s: int, t: int) -> int:

@@ -10,6 +10,7 @@ import pytest
 
 from conftest import brute_st_cores, st_cores_by_difference_scan
 from stcores import DomainError, errors
+from stcores.errors import count_bits_below
 from stcores.abacus import (
     _partition_from_first_gaps,
     core,
@@ -33,7 +34,6 @@ from stcores.alcoves import (
     tip,
 )
 from stcores.orbits import (
-    _log2_binomial,
     anderson_count,
     containment_chain,
     count_st_cores,
@@ -355,13 +355,13 @@ def test_anderson_count_is_refused_before_its_binomial_is_built():
 
 
 def test_anderson_count_builds_only_binomials_near_the_cap(monkeypatch):
-    """Stirling's estimate of log2 C(n, k) is above the exact value by at most
-    1/4 bit, so a count it puts past the cap is refused without its binomial."""
+    """The lower bound on log2 of C(n, k)/n is short of it by at most 1/4
+    bit, so a count it puts past the cap is refused without its binomial."""
     rng = random.Random("stirling")
     for _ in range(300):
         n = rng.randrange(2, 20000)
         k = rng.randrange(1, n // 2 + 1)
-        assert 0 <= _log2_binomial(n, k) - math.log2(math.comb(n, k)) <= 0.25, (n, k)
+        assert 0 <= math.log2(math.comb(n, k) // n) - count_bits_below(n, k) <= 0.25, (n, k)
 
     def refused_unbuilt(n, k):
         raise AssertionError(f"built C({n}, {k})")
