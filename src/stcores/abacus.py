@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from operator import add, mod
 
-from .errors import DomainError, _read_ints, _trusted, check_modulus, check_s, check_s_set, check_span
+from .errors import DomainError, _read_ints, _trusted, check_int, check_s_set, check_span
 from .partitions import Partition
 
 
@@ -42,14 +42,12 @@ class BetaSet:
 
     def __post_init__(self) -> None:
         n = len(self.heads)
+        if not {int}.issuperset(map(type, self.heads)):
+            check_int(next(a for a in self.heads if type(a) is not int), "beta heads")
         if any(a <= b for a, b in zip(self.heads, self.heads[1:])):
             raise DomainError(f"beta heads must be strictly decreasing: {self.heads}")
         if n and self.heads[-1] < 1 - n:
             raise DomainError("beta heads run into the regular tail")
-
-    @property
-    def n(self) -> int:
-        return len(self.heads)
 
 
 @dataclass(frozen=True)
@@ -109,7 +107,7 @@ def _packed_first_gaps(p: Partition, s: int) -> list[int]:
     it is cheaper: below 512 rows, where the set-up is not repaid, and above
     s = 24, where the counts cost as much as the passes save.
     """
-    check_modulus(s)
+    check_int(s, "s", 1)
     check_span(s - 1)  # s first gaps in distinct classes span at least s - 1
     parts = p.parts
     n = len(parts)
@@ -160,7 +158,7 @@ def is_s_core(p: Partition, s: int) -> bool:
 
 def q_set(p: Partition, s: int) -> SSet:
     """Q(lambda): the highest unoccupied position on each runner of an s-core."""
-    check_s(s)
+    check_int(s, "s", 2)
     elements = frozenset(_packed_first_gaps(p, s))
     if _core_size(s, elements) != sum(p.parts):
         raise DomainError(f"{p} is not a {s}-core")

@@ -13,15 +13,10 @@ from __future__ import annotations
 
 from .abacus import SSet, core_from_s_set, q_set
 from .alcoves import Hyperplane, SPoint, _moved_point, reflect
-from .errors import DomainError, _read_ints, _trusted, check_coords, check_level, check_pair, check_scan
+from .errors import DomainError, _read_ints, _trusted, check_coords, check_int, check_pair, check_scan
 from .partitions import Partition
 
 Word = tuple[int, ...]
-
-
-def _check_generator(i: int, s: int) -> None:
-    if not 0 <= i < s:
-        raise DomainError(f"generator index {i} out of range for s={s}")
 
 
 def psi_gen(i: int, t: int, p: SPoint) -> SPoint:
@@ -29,8 +24,8 @@ def psi_gen(i: int, t: int, p: SPoint) -> SPoint:
     the fundamental alcove.  For 1 <= i < s that is H_{i,i+1}^0, which swaps the i-th
     and (i+1)-th coordinates; for i = 0 it is the affine wall pushed out to level t,
     H_{1,s}^t, which maps (p_1,...,p_s) to (p_s - st, p_2, ..., p_{s-1}, p_1 + st)."""
-    _check_generator(i, p.s)
-    check_level(t)
+    check_int(i, "generator index", 0, p.s - 1)
+    check_int(t, "t", 1)
     return reflect(p, Hyperplane(i, i + 1, 0) if i else Hyperplane(1, p.s, t))
 
 
@@ -45,7 +40,7 @@ def chi_gen(i: int, t: int, p: SPoint) -> SPoint:
     """Generator of the second level-t action: add t to the coordinate
     congruent to (i-1)t mod s and subtract t from the one congruent to it."""
     s = p.s
-    _check_generator(i, s)
+    check_int(i, "generator index", 0, s - 1)
     check_pair(s, t)
     r_up, r_down = (i - 1) * t % s, i * t % s
     coords = list(p.coords)
@@ -60,7 +55,7 @@ def chi_gen(i: int, t: int, p: SPoint) -> SPoint:
 def chi_on_sset(i: int, t: int, q: SSet) -> SSet:
     """chi_t transported through forgetting coordinate order."""
     s = q.s
-    _check_generator(i, s)
+    check_int(i, "generator index", 0, s - 1)
     check_pair(s, t)
     cycle = _t_cycle(q.elements, s, t)
     a, b = cycle[i - 1], cycle[i]
@@ -78,7 +73,7 @@ def apply_word(word: Word, action: str, t: int, p: SPoint) -> SPoint:
     """Apply a word of generators left to right under psi or chi; each
     generator moves or looks at every one of the s coordinates."""
     if action == "psi":
-        check_level(t)
+        check_int(t, "t", 1)
         gen = psi_gen
     elif action == "chi":
         check_pair(p.s, t)
@@ -98,6 +93,6 @@ def parse_word(text: str) -> Word:
 
 def alpha(p: SPoint, t: int) -> SPoint:
     """The affine map rotating the dilated simplex: (p_s - (s-1)t, p_1 + t, ...)."""
-    check_level(t)
+    check_int(t, "t", 1)
     s = p.s
     return _moved_point((p.coords[-1] - (s - 1) * t,) + tuple(c + t for c in p.coords[:-1]))

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 from .abacus import SSet
-from .errors import MAX_SCAN, DomainError, _read_ints, _trusted, check_coords, check_level, check_pair, check_s
-from .errors import check_s_set, check_scan, check_span
+from .errors import MAX_SCAN, DomainError, _read_ints, _trusted, check_coords, check_int, check_pair, check_s_set
+from .errors import check_scan, check_span
 
 
 @dataclass(frozen=True)
@@ -42,8 +42,9 @@ class Hyperplane:
     k: int
 
     def __post_init__(self) -> None:
-        if not 1 <= self.i < self.j:
-            raise DomainError(f"need 1 <= i < j, got ({self.i}, {self.j})")
+        check_int(self.i, "i", 1)
+        check_int(self.j, "j", self.i + 1)
+        check_int(self.k, "k")
 
 
 @dataclass(frozen=True)
@@ -64,7 +65,9 @@ def point_from_text(text: str) -> SPoint:
 
 def origin(s: int) -> SPoint:
     """(0, 1, ..., s-1)."""
-    return SPoint(tuple(range(s)))
+    check_int(s, "s", 2)
+    # one element per class, summing to s(s-1)/2, far inside the bound
+    return _trusted(SPoint, coords=tuple(range(s)))
 
 
 def _check_in_space(h: Hyperplane, s: int) -> None:
@@ -178,7 +181,7 @@ def point_of_sset(q: SSet) -> SPoint:
 
 def in_rhomboid(p: SPoint, t: int) -> bool:
     """Membership in R^s_t: consecutive gaps all within [1, t]."""
-    check_level(t)
+    check_int(t, "t", 1)
     if not is_dominant(p):
         raise DomainError("in_rhomboid expects a dominant point; fold first")
     return all(1 <= b - a <= t for a, b in zip(p.coords, p.coords[1:]))
@@ -195,13 +198,9 @@ def _check_rhomboid(s: int, t: int) -> None:
 def tip(s: int, t: int) -> SPoint:
     """The vertex of R^s_t opposite the origin: gaps all equal to t."""
     _check_rhomboid(s, t)
-    coords = []
-    for i in range(1, s + 1):
-        num = s - 1 + t * (2 * i - 1 - s)
-        if num % 2:
-            raise RuntimeError("tip coordinates must be integers")
-        coords.append(num // 2)
-    return SPoint(tuple(coords))
+    first = -(s - 1) * (t - 1) // 2  # (s-1)(t-1) is even for a coprime pair
+    # a step coprime to s meets every class once, and the s terms sum to s(s-1)/2
+    return _trusted(SPoint, coords=tuple(range(first, first + s * t, t)))
 
 
 def simplex_vertices(s: int, t: int) -> list[tuple[Fraction, ...]]:
@@ -211,8 +210,8 @@ def simplex_vertices(s: int, t: int) -> list[tuple[Fraction, ...]]:
     """
     from fractions import Fraction  # imported here, its only use, to keep it off start-up
 
-    check_s(s)
-    check_level(t)
+    check_int(s, "s", 2)
+    check_int(t, "t", 1)
     base = Fraction(s - 1, 2)
     return [
         tuple(base + (i - s) * t if j <= i else base + i * t for j in range(1, s + 1))
@@ -226,8 +225,8 @@ def rhomboid_points(s: int, t: int) -> list[SPoint]:
     Gap vectors whose anchor coordinate is non-integral or whose coordinates
     collide mod s do not correspond to s-points and are skipped.
     """
-    check_s(s)
-    check_level(t)
+    check_int(s, "s", 2)
+    check_int(t, "t", 1)
     # s-1 entries per gap vector; for t >= 2 the count passes the cap once s
     # exceeds the cap's bit length, which is decided before any power is built
     scan = f"rhomboid scan of {t}^{s - 1} gap vectors"

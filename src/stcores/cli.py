@@ -1,6 +1,7 @@
 """Command-line surface.
 
-Exit codes: 0 success, 1 usage error or closed output, 2 domain error
+Exit codes: 0 success, 1 usage error, closed output or an --out file that
+cannot be written, 2 domain error
 (malformed input, non-coprime pair, unsupported s), 3 verification
 failure.  Every command accepts --json and then emits {"input": ...,
 "result": ..., "meta": ...}.
@@ -171,8 +172,12 @@ def _cmd_diagram(args) -> int:
     spec = diagram.RenderSpec(s=args.s, depth=args.depth, mode=args.mode, t=args.t)
     svg = diagram.render_svg(spec)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(svg)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(svg)
+        except OSError as exc:  # only the file's: a closed stdout still reaches main
+            print(f"stcores: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+            return 1
         result = {"path": args.out, "alcoves": len(diagram.dominant_alcoves(args.depth))}
         plain = [args.out]
     else:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .abacus import core, core_from_s_set
 from .alcoves import SPoint, sset_of_point
-from .errors import DomainError, check_pair, check_scan
+from .errors import DomainError, check_int, check_pair, check_scan
 from .partitions import Partition
 
 _UX = 15  # pixels per unit of u - v
@@ -35,10 +35,10 @@ class RenderSpec:
     t: int | None = None
 
     def __post_init__(self) -> None:
+        check_int(self.s, "s")
         if self.s != 3:
             raise DomainError("rendering is only implemented for s = 3")
-        if self.depth < 1:
-            raise DomainError("depth must be at least 1")
+        check_int(self.depth, "depth", 1)
         if self.mode not in ("cores", "tcores"):
             raise DomainError(f"mode must be 'cores' or 'tcores', got {self.mode!r}")
         if self.mode == "tcores":

@@ -5,7 +5,11 @@ is not coprime, a partition that is not an s-core, ...) raises DomainError.
 Internal impossibilities raise RuntimeError and are never caught.
 
 Every level-t statement assumes s >= 2, t >= 1 and gcd(s, t) = 1; the
-checks below are the only place that contract is spelled out.
+checks below are the only place that contract is spelled out.  Every integer
+that enters, a parameter, an index or a bound, passes the one integer check
+``check_int(value, what, low, high)``: an exact int within the inclusive
+bounds given, refused with "need <what> >= <low>, got <value>" (or <=
+<high>) outside them.
 
 Values are checked once, where they enter; values derived from checked ones
 by a move that keeps the contract are built with ``_trusted``.
@@ -38,39 +42,22 @@ class DomainError(ValueError):
     """Invalid input for the requested operation."""
 
 
-def check_int(value, what: str) -> None:
-    """An exact int: a float passes every comparison below and a bool is
-    printed as True, so both are refused where they enter."""
+def check_int(value, what: str, low: int | None = None, high: int | None = None) -> None:
+    """An exact int within the inclusive bounds low..high, where given: a float
+    passes every comparison and a bool is printed as True, so both are refused
+    where they enter."""
     if type(value) is not int:
         raise DomainError(f"{what} must be an integer, got {value!r}")
-
-
-def check_s(s: int) -> None:
-    """The number of runners or coordinates: s >= 2."""
-    check_int(s, "s")
-    if s < 2:
-        raise DomainError(f"need s >= 2, got {s}")
-
-
-def check_modulus(s: int) -> None:
-    """The modulus of a hook length or a runner count, outside the level-t
-    statements: s >= 1."""
-    check_int(s, "s")
-    if s < 1:
-        raise DomainError(f"s must be a positive integer, got {s}")
-
-
-def check_level(t: int) -> None:
-    """The level of an action or rhomboid: t >= 1."""
-    check_int(t, "t")
-    if t < 1:
-        raise DomainError(f"t must be a positive integer, got {t}")
+    if low is not None and value < low:
+        raise DomainError(f"need {what} >= {low}, got {value}")
+    if high is not None and value > high:
+        raise DomainError(f"need {what} <= {high}, got {value}")
 
 
 def check_pair(s: int, t: int) -> None:
     """A level-t pair: s >= 2, t >= 1 and gcd(s, t) = 1."""
-    check_s(s)
-    check_level(t)
+    check_int(s, "s", 2)
+    check_int(t, "t", 1)
     if math.gcd(s, t) != 1:
         raise DomainError(f"({s}, {t}) must be coprime")
 
@@ -127,7 +114,7 @@ def check_s_set(s: int, elements) -> None:
     if not {int}.issuperset(map(type, elements)):
         check_int(next(a for a in elements if type(a) is not int), "elements")
     check_coords(elements)
-    check_s(s)
+    check_int(s, "s", 2)
     if len(elements) != s:
         raise DomainError(f"expected {s} elements, got {len(elements)}")
     if len({a % s for a in elements}) != s:

@@ -28,17 +28,17 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .abacus import SSet, _partition_from_first_gaps, core_from_s_set, q_set, size_from_s_set
-from .alcoves import SPoint, _check_rhomboid, fold_to_dominant, in_rhomboid, sset_of_point, tip
-from .affine_actions import _check_generator, _t_cycle
+from .alcoves import SPoint, _check_rhomboid, fold_to_dominant, in_rhomboid, tip
+from .affine_actions import _t_cycle
 from . import errors
-from .errors import DomainError, _trusted, check_coords, check_count_bits, check_level, check_pair, check_scan
+from .errors import DomainError, _trusted, check_coords, check_count_bits, check_int, check_pair, check_scan
 from .errors import count_bits_below
 from .partitions import Partition
 
 
 def residue_multiset(q: SSet, t: int) -> tuple[int, ...]:
     """Counts (n_0, ..., n_{t-1}) of elements of q in each class mod t."""
-    check_level(t)
+    check_int(t, "t", 1)
     counts = [0] * t
     for a in q.elements:
         counts[a % t] += 1
@@ -188,8 +188,9 @@ def same_level_t_orbit(lam: Partition, mu: Partition, s: int, t: int) -> bool:
 
 
 def kappa(s: int, t: int) -> Partition:
-    """The extremal (s,t)-core: the core of the rhomboid tip."""
-    return core_from_s_set(sset_of_point(tip(s, t)))
+    """The extremal (s,t)-core: the core of the rhomboid tip, whose span
+    (s-1)t ``tip`` checks."""
+    return _partition_from_first_gaps(tip(s, t).coords, s)
 
 
 def anderson_count(s: int, t: int) -> int:
@@ -449,18 +450,21 @@ def lemma53_check(lam: Partition, i: int, s: int) -> bool:
     predicate is b <= a + 1; whenever it holds the generator's image contains
     lambda.
     """
-    _check_generator(i, s)
-    cycle = _t_cycle(q_set(lam, s).elements, s, 1)
+    elements = q_set(lam, s).elements  # checks s, then that lam is an s-core
+    check_int(i, "generator index", 0, s - 1)
+    cycle = _t_cycle(elements, s, 1)
     return cycle[i] <= cycle[i - 1] + 1
 
 
 def level_orbit_up_to_size(s: int, t: int, max_size: int, start: Partition = Partition()) -> set[Partition]:
     """Members of start's level-t orbit with size at most max_size.
 
-    Breadth-first closure over generator moves, pruned at the size bound.
+    Breadth-first closure over generator moves from the orbit's minimiser,
+    start's t-core (an s-core by Olsson's theorem), pruned at the size bound.
     The bound is safe for reachability from the minimiser because the greedy
     descent is strictly size-decreasing, so every orbit member of size <= n
-    connects to the minimiser through cores of size <= n.
+    connects to the minimiser through cores of size <= n.  The minimiser is
+    found by that descent, which lays out no runner per unit of t.
 
     Each visited s-set is laid out as its t-cycle once; generator i moves t
     from entry a = cycle[i-1] to entry b = cycle[i], changing the size by
@@ -469,9 +473,11 @@ def level_orbit_up_to_size(s: int, t: int, max_size: int, start: Partition = Par
     once its visits pass MAX_SCAN in those units.
     """
     check_pair(s, t)
-    start_q = q_set(start, s)
-    sizes = {start_q.elements: size_from_s_set(start_q)}
-    frontier = [start_q.elements]
+    check_int(max_size, "max_size")
+    low = q_set(descend_to_t_core(start, s, t)[0], s)  # the descent checks that start is an s-core
+    size = size_from_s_set(low)
+    sizes = {low.elements: size} if size <= max_size else {}
+    frontier = list(sizes)
     cap = errors.MAX_SCAN  # read per call, so a test can lower it
     visited = 0
     while frontier:

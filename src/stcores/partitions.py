@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple
 
-from .errors import MAX_SIZE, DomainError, _read_ints, check_modulus
+from .errors import MAX_SIZE, DomainError, _read_ints, check_int
 
 
 class Box(NamedTuple):
@@ -121,7 +121,7 @@ def hook_lengths(p: Partition) -> dict[Box, int]:
 
 def is_s_core_by_hooks(p: Partition, s: int) -> bool:
     """True iff no hook length is divisible by s."""
-    check_modulus(s)
+    check_int(s, "s", 1)
     return all(h % s != 0 for h in hook_lengths(p).values())
 
 
@@ -194,7 +194,7 @@ def _removal_result(p: Partition, hook_boxes: tuple[Box, ...]) -> Partition | No
 
 def removable_rim_hooks(p: Partition, s: int) -> list[RimHook]:
     """All rim s-hooks, ordered by their start box (top-right end first)."""
-    check_modulus(s)
+    check_int(s, "s", 1)
     path = rim_path(p)
     hooks = []
     for start in range(len(path) - s + 1):
@@ -253,9 +253,8 @@ def removable_boxes(p: Partition) -> list[Box]:
 
 def boxes_of_residue(p: Partition, k: int, s: int, mode: str) -> set[Box]:
     """Addable or removable boxes whose residue (col - row) mod s equals k."""
-    check_modulus(s)
-    if not 0 <= k < s:
-        raise DomainError(f"residue {k} out of range for s={s}")
+    check_int(s, "s", 1)
+    check_int(k, "residue", 0, s - 1)
     if mode == "addable":
         candidates = addable_boxes(p)
     elif mode == "removable":
@@ -291,7 +290,9 @@ def toggle_residue(p: Partition, k: int, s: int) -> Partition:
 
 
 def partitions_of(n: int) -> Iterator[Partition]:
-    """All partitions of n, largest-part-first recursion."""
+    """All partitions of n, largest-part-first recursion; n is checked on the
+    call, and the partitions are made as they are read."""
+    check_int(n, "n", 0)
 
     def gen(remaining: int, cap: int, prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
         if remaining == 0:
@@ -300,13 +301,10 @@ def partitions_of(n: int) -> Iterator[Partition]:
         for part in range(min(cap, remaining), 0, -1):
             yield from gen(remaining - part, part, prefix + (part,))
 
-    if n < 0:
-        raise DomainError("n must be non-negative")
-    for parts in gen(n, n if n else 1, ()):
-        yield Partition(parts)
+    return (Partition(parts) for parts in gen(n, n if n else 1, ()))
 
 
 def partitions_up_to(n: int) -> Iterator[Partition]:
-    """All partitions of size 0..n."""
-    for m in range(n + 1):
-        yield from partitions_of(m)
+    """All partitions of size 0..n, as partitions_of makes them."""
+    check_int(n, "n", 0)
+    return (p for m in range(n + 1) for p in partitions_of(m))

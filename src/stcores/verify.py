@@ -40,8 +40,12 @@ def random_s_point(rng: random.Random, s: int, spread: int = 5) -> SPoint:
     return SPoint(tuple(coords))
 
 
-def _coprime_ts(s: int, candidates=(1, 2, 3, 4, 5, 7)) -> list[int]:
-    return [t for t in candidates if math.gcd(s, t) == 1]
+# the levels the actions suite tries at each s, those coprime to s
+_ACTION_TS = (1, 2, 3, 4, 5, 7)
+
+
+def _coprime_ts(s: int) -> list[int]:
+    return [t for t in _ACTION_TS if math.gcd(s, t) == 1]
 
 
 def _corpus_max(trials: int) -> int:
@@ -242,14 +246,6 @@ def suite_vandehey(s_max: int, t_max: int, seed: int, trials: int) -> list[Check
     ]
 
 
-SUITES: dict[str, Callable[[int, int, int, int], list[Check]]] = {
-    "core-oracle": suite_core_oracle,
-    "actions": suite_actions,
-    "olsson": suite_olsson,
-    "vandehey": suite_vandehey,
-}
-
-
 def _work_core_oracle(s_max: int, t_max: int, trials: int):
     # each corpus partition against each s: s runners laid out, and the
     # rim-hook oracles scan the at most n^2 cells and hooks of a size-n partition
@@ -267,6 +263,10 @@ def _work_actions(s_max: int, t_max: int, trials: int):
 
 
 def _work_olsson(s_max: int, t_max: int, trials: int):
+    # (2, 3) or (3, 2) is a coprime pair to draw unless a maximum is below 2 or both are 2
+    if min(s_max, t_max) < 2 or max(s_max, t_max) < 3:
+        raise DomainError(f"verify --suite olsson needs a coprime (s, t) with "
+                          f"2 <= s <= {s_max} and 2 <= t <= {t_max}")
     # the row counts, then per trial the pair's row, up to 40 chi_t steps on s
     # entries, t runners for the t-core and a descent from a core of at most 200 boxes
     yield s_max * t_max + trials * (40 * s_max + t_max + 200)
@@ -278,28 +278,26 @@ def _work_vandehey(s_max: int, t_max: int, trials: int):
     return (orbits._enumeration_work(s, t) for s, t in _vandehey_pairs(s_max, t_max))
 
 
-_WORK = {
-    "core-oracle": _work_core_oracle,
-    "actions": _work_actions,
-    "olsson": _work_olsson,
-    "vandehey": _work_vandehey,
+# each suite's runner and its price: the price yields closed-form terms of
+# work, in the suite's own order, and may refuse the maxima outright
+SUITES: dict[str, tuple[Callable[[int, int, int, int], list[Check]], Callable]] = {
+    "core-oracle": (suite_core_oracle, _work_core_oracle),
+    "actions": (suite_actions, _work_actions),
+    "olsson": (suite_olsson, _work_olsson),
+    "vandehey": (suite_vandehey, _work_vandehey),
 }
 
 
 def run_suites(names: list[str], s_max: int, t_max: int, seed: int, trials: int) -> list[Check]:
-    """Run the named suites, each refused first if its work passes MAX_SCAN (the
-    work is summed from closed forms in the suite's own order until it does) or,
-    for olsson, if no coprime (s, t) lies under the maxima to draw from."""
+    """Run the named suites, each refused first by its price: when its work passes
+    MAX_SCAN (summed from closed forms in the suite's own order until it does)
+    or, for olsson, when no coprime (s, t) lies under the maxima to draw from."""
     for name in names:
-        # (2, 3) or (3, 2) is such a pair unless a maximum is below 2 or both are 2
-        if name == "olsson" and (min(s_max, t_max) < 2 or max(s_max, t_max) < 3):
-            raise DomainError(f"verify --suite olsson needs a coprime (s, t) with "
-                              f"2 <= s <= {s_max} and 2 <= t <= {t_max}")
         total = 0
-        for term in _WORK[name](s_max, t_max, trials):
+        for term in SUITES[name][1](s_max, t_max, trials):
             total += term
             check_scan(total, f"verify --suite {name}")
     checks = []
     for name in names:
-        checks.extend(SUITES[name](s_max, t_max, seed, trials))
+        checks.extend(SUITES[name][0](s_max, t_max, seed, trials))
     return checks

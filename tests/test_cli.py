@@ -156,6 +156,13 @@ def test_diagram_without_out_prints_the_svg(capsys):
     assert (code, out, err) == (0, render_svg(RenderSpec(s=3, depth=1, mode="cores")), "")
 
 
+def test_diagram_out_that_cannot_be_written_is_one_stderr_line(capsys, tmp_path):
+    for path in (tmp_path / "missing" / "x.svg", tmp_path):
+        code, out, err = run_cli(capsys, "diagram", "--s", "3", "--depth", "3", "--out", str(path))
+        assert (code, out) == (1, ""), path
+        assert err.startswith(f"stcores: cannot write {path}: ") and len(err.splitlines()) == 1, err
+
+
 def test_verify_command(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--suite", "olsson", "--s-max", "5", "--t-max", "6",

@@ -3,8 +3,8 @@
 import pytest
 
 from stcores import DomainError
-from stcores.abacus import SSet, core_from_s_set, make_sset, q_set, sset_from_text
-from stcores.affine_actions import alpha, chi_gen, chi_on_sset, psi_gen
+from stcores.abacus import BetaSet, SSet, core_from_s_set, make_sset, q_set, sset_from_text
+from stcores.affine_actions import alpha, apply_word, chi_gen, chi_on_sset, psi_gen
 from stcores.alcoves import (
     Hyperplane,
     SPoint,
@@ -22,8 +22,10 @@ from stcores.orbits import (
     containment_chain,
     count_st_cores,
     descend_to_t_core,
+    lemma53_check,
     level_orbit_up_to_size,
 )
+from stcores.diagram import RenderSpec
 from stcores.abacus import core, is_s_core
 from stcores.partitions import (
     Partition,
@@ -31,7 +33,9 @@ from stcores.partitions import (
     brute_core,
     from_text,
     is_s_core_by_hooks,
+    partitions_up_to,
     removable_rim_hooks,
+    toggle_residue,
 )
 
 ORIGIN_SSET_3 = make_sset(3, range(3))
@@ -84,6 +88,29 @@ BOUNDARY_CASES = {
     "count_float_s": lambda: anderson_count(2.0, 3),
     "count_st_cores_bool_t": lambda: count_st_cores(3, True),
     "chain_float_t": lambda: containment_chain(origin(3), 3, 4.0),
+    # every integer that enters passes errors.check_int, generator indices included
+    "chi_gen_float_generator": lambda: chi_gen(1.0, 4, origin(3)),
+    "chi_gen_bool_generator": lambda: chi_gen(True, 4, origin(3)),
+    "psi_gen_float_generator": lambda: psi_gen(1.0, 4, origin(3)),
+    "psi_gen_bool_generator": lambda: psi_gen(True, 4, origin(3)),
+    "chi_on_sset_float_generator": lambda: chi_on_sset(1.0, 4, ORIGIN_SSET_3),
+    "chi_on_sset_bool_generator": lambda: chi_on_sset(True, 4, ORIGIN_SSET_3),
+    "lemma53_check_float_generator": lambda: lemma53_check(Partition(), 1.0, 3),
+    "lemma53_check_bool_generator": lambda: lemma53_check(Partition(), True, 3),
+    "apply_word_float_generator": lambda: apply_word((1.0,), "chi", 4, origin(3)),
+    "apply_word_bool_generator": lambda: apply_word((True,), "psi", 4, origin(3)),
+    # a half-integral k reflects to a non-point
+    "hyperplane_float_k": lambda: Hyperplane(1, 2, 0.5),
+    "hyperplane_bool_i": lambda: Hyperplane(True, 2, 0),
+    "origin_float_s": lambda: origin(2.5),
+    "orbit_float_max_size": lambda: level_orbit_up_to_size(3, 4, 10.5),
+    "orbit_bool_max_size": lambda: level_orbit_up_to_size(3, 4, True),
+    "render_spec_bool_depth": lambda: RenderSpec(s=3, depth=True, mode="cores"),
+    "render_spec_float_s": lambda: RenderSpec(s=3.0, depth=2, mode="cores"),
+    "toggle_residue_float_k": lambda: toggle_residue(Partition((1,)), 1.0, 3),
+    "partitions_up_to_float_n": lambda: partitions_up_to(2.5),
+    "beta_set_float_head": lambda: BetaSet((0.5,)),
+    "beta_set_bool_head": lambda: BetaSet((True,)),
 }
 
 
@@ -107,8 +134,8 @@ S_BELOW_1_CASES = {
 
 @pytest.mark.parametrize("build", S_BELOW_1_CASES.values(), ids=S_BELOW_1_CASES.keys())
 def test_s_below_1_is_one_check(build):
-    """The abacus and the hook oracles refuse s < 1 with the one errors.check_modulus message."""
-    with pytest.raises(DomainError, match=r"^s must be a positive integer, got -?\d+$"):
+    """The abacus and the hook oracles refuse s < 1 with the one errors.check_int message."""
+    with pytest.raises(DomainError, match=r"^need s >= 1, got -?\d+$"):
         build()
 
 

@@ -492,7 +492,7 @@ def test_scan_is_refused_beyond_its_cap():
         (217, 216): f"core count of {218 * 215 * 216} units of work exceeds the cap of 10000000",
         (4, 6): "(4, 6) must be coprime",
         (1, 3): "need s >= 2, got 1",
-        (3, 0): "t must be a positive integer, got 0",
+        (3, 0): "need t >= 1, got 0",
     }.items():
         with pytest.raises(DomainError, match=f"^{re.escape(text)}$"):
             count_st_cores(s, t)
@@ -504,7 +504,7 @@ def test_enumeration_refuses_what_the_scan_refuses_with_the_same_text():
     cases = {
         (4, 6): "(4, 6) must be coprime",
         (1, 3): "need s >= 2, got 1",
-        (3, 0): "t must be a positive integer, got 0",
+        (3, 0): "need t >= 1, got 0",
         (2, 10**7 + 1): "abacus span of 10000001 positions exceeds the cap of 10000000",
     }
     for (s, t), text in cases.items():
@@ -647,6 +647,21 @@ def test_level_orbit_of_origin_small():
         if is_s_core_by_hooks(p, 3) and core(p, 4) == P()
     }
     assert got == expected
+
+
+def test_level_orbit_is_closed_from_the_minimiser_whatever_the_start():
+    """A start above the size bound is not itself a member; from any member of
+    the orbit of the empty core the closure is the one from the empty core."""
+    assert level_orbit_up_to_size(3, 4, 0, start=P(3, 3, 2, 2, 1, 1)) == {P()}
+    assert level_orbit_up_to_size(3, 4, 2, start=P(2, 1, 1)) == {P()}
+    members = level_orbit_up_to_size(3, 4, 30)
+    assert len(members) == 13
+    for bound in range(31):
+        expected = level_orbit_up_to_size(3, 4, bound)
+        for lam in members:
+            assert level_orbit_up_to_size(3, 4, bound, start=lam) == expected, (lam, bound)
+    # a bound below the minimiser's size leaves nothing
+    assert level_orbit_up_to_size(3, 4, -1) == set()
 
 
 def test_orbit_closure_is_refused_once_its_visits_pass_the_cap(monkeypatch):
