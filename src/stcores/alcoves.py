@@ -109,25 +109,14 @@ def reflect_hyperplane(h: Hyperplane, r: Hyperplane, s: int) -> Hyperplane:
     image hyperplane directly.  The partial case table one can write down for
     this map is used as a test oracle, not as the implementation.
     """
+    check_int(s, "s", 2)
     _check_in_space(h, s)
     _check_in_space(r, s)
-
-    def image_index(a: int) -> int:
-        if a == r.i:
-            return r.j
-        if a == r.j:
-            return r.i
-        return a
-
-    def shift(a: int) -> int:
-        if a == r.i:
-            return -r.k
-        if a == r.j:
-            return r.k
-        return 0
-
-    a, b = image_index(h.i), image_index(h.j)
-    k = h.k - shift(h.j) + shift(h.i)
+    # index -> (its image, the shift its coordinate takes); other indices stay put
+    image = {r.i: (r.j, -r.k), r.j: (r.i, r.k)}
+    a, shift_a = image.get(h.i, (h.i, 0))
+    b, shift_b = image.get(h.j, (h.j, 0))
+    k = h.k - shift_b + shift_a
     if a < b:
         return Hyperplane(a, b, k)
     return Hyperplane(b, a, -k)

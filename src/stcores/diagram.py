@@ -47,10 +47,10 @@ class RenderSpec:
             check_pair(self.s, self.t)
         # row d holds d // 2 + 1 alcoves, whose points all have the same span,
         # growing with d; each alcove's core has fewer than span^2 boxes to
-        # draw, and in tcores mode it is also repacked on t runners
+        # draw, and in tcores mode it is also repacked on t runners.  The
+        # deepest row's Alcove(m, 0, not odd) has gaps (3m + k, k), k = 1 + odd.
         m, odd = divmod(self.depth - 1, 2)
-        deepest = Alcove(m, 0, not odd).point().coords
-        span = deepest[-1] - deepest[0]
+        span = 3 * m + 2 + 2 * odd
         alcoves = (self.depth + 1) // 2 * ((self.depth + 2) // 2)
         per_alcove = span * span + (self.t if self.mode == "tcores" else 0)
         check_scan(alcoves * per_alcove, f"diagram of {alcoves} alcoves")

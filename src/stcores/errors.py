@@ -9,7 +9,9 @@ checks below are the only place that contract is spelled out.  Every integer
 that enters, a parameter, an index or a bound, passes the one integer check
 ``check_int(value, what, low, high)``: an exact int within the inclusive
 bounds given, refused with "need <what> >= <low>, got <value>" (or <=
-<high>) outside them.
+<high>) outside them.  A partition's parts keep their own check in its
+constructor, and a partition has no method that takes an index: it is read
+through its parts tuple.
 
 Values are checked once, where they enter; values derived from checked ones
 by a move that keeps the contract are built with ``_trusted``.

@@ -477,26 +477,22 @@ def level_orbit_up_to_size(s: int, t: int, max_size: int, start: Partition = Par
     low = q_set(descend_to_t_core(start, s, t)[0], s)  # the descent checks that start is an s-core
     size = size_from_s_set(low)
     sizes = {low.elements: size} if size <= max_size else {}
-    frontier = list(sizes)
+    queue = list(sizes)
     cap = errors.MAX_SCAN  # read per call, so a test can lower it
-    visited = 0
-    while frontier:
-        next_frontier = []
-        for elements in frontier:
-            visited += 1
-            if visited * s * s > cap:
-                check_scan(visited * s * s, "orbit closure")
-            size = sizes[elements]
-            cycle = _t_cycle(elements, s, t)
-            for i in range(s):
-                a, b = cycle[i - 1], cycle[i]
-                image_size = size + t * (t + a - b) // s
-                if image_size <= max_size:
-                    # chi_t: a + t and b - t trade classes (b = a + t mod s) and keep the sum
-                    image = elements - {a, b} | {a + t, b - t}
-                    if image not in sizes:
-                        check_coords((a + t, b - t))  # a large t can push the pair past the bound
-                        sizes[image] = image_size
-                        next_frontier.append(image)
-        frontier = next_frontier
+    # a FIFO queue, read while it grows: the list iterator sees every append
+    for visited, elements in enumerate(queue, start=1):
+        if visited * s * s > cap:
+            check_scan(visited * s * s, "orbit closure")
+        size = sizes[elements]
+        cycle = _t_cycle(elements, s, t)
+        for i in range(s):
+            a, b = cycle[i - 1], cycle[i]
+            image_size = size + t * (t + a - b) // s
+            if image_size <= max_size:
+                # chi_t: a + t and b - t trade classes (b = a + t mod s) and keep the sum
+                image = elements - {a, b} | {a + t, b - t}
+                if image not in sizes:
+                    check_coords((a + t, b - t))  # a large t can push the pair past the bound
+                    sizes[image] = image_size
+                    queue.append(image)
     return {core_from_s_set(_trusted(SSet, s=s, elements=elements)) for elements in sizes}

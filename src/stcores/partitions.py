@@ -14,6 +14,7 @@ machinery with it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import le
 from typing import Callable, Iterator, NamedTuple
 
 from .errors import MAX_SIZE, DomainError, _read_ints, check_int
@@ -51,10 +52,6 @@ class Partition:
 
     def __str__(self) -> str:
         return to_text(self)
-
-    def row(self, i: int) -> int:
-        """The i-th part (1-based), reading 0 beyond the last row."""
-        return self.parts[i - 1] if 1 <= i <= len(self.parts) else 0
 
 
 def from_text(text: str) -> Partition:
@@ -96,11 +93,12 @@ def size(p: Partition) -> int:
 
 def contains(outer: Partition, inner: Partition) -> bool:
     """Young-diagram containment: every row of inner fits inside outer."""
-    return all(inner.row(i) <= outer.row(i) for i in range(1, len(inner) + 1))
+    return len(inner.parts) <= len(outer.parts) and all(map(le, inner.parts, outer.parts))
 
 
 def conjugate(p: Partition) -> Partition:
-    return Partition(tuple(sum(1 for part in p.parts if part >= j) for j in range(1, p.row(1) + 1)))
+    width = (p.parts or (0,))[0]
+    return Partition(tuple(sum(1 for part in p.parts if part >= j) for j in range(1, width + 1)))
 
 
 def boxes(p: Partition) -> Iterator[Box]:
@@ -128,9 +126,7 @@ def is_s_core_by_hooks(p: Partition, s: int) -> bool:
 def rim(p: Partition) -> set[Box]:
     """Boxes (i,j) of the diagram with (i+1,j+1) outside it."""
     out: set[Box] = set()
-    n = len(p.parts)
-    for i, part in enumerate(p.parts, start=1):
-        lo = p.row(i + 1) if i < n else 0
+    for i, (part, lo) in enumerate(zip(p.parts, p.parts[1:] + (0,)), start=1):
         out.update(Box(i, j) for j in range(max(1, lo), part + 1))
     return out
 
@@ -180,7 +176,7 @@ def _removal_result(p: Partition, hook_boxes: tuple[Box, ...]) -> Partition | No
     for i in rows:
         cols = sorted(by_row[i])
         # removal must strip a suffix of the row
-        if cols != list(range(cols[0], cols[-1] + 1)) or cols[-1] != p.row(i):
+        if cols != list(range(cols[0], cols[-1] + 1)) or cols[-1] != p.parts[i - 1]:
             return None
         new_parts[i - 1] = cols[0] - 1
     while new_parts and new_parts[-1] == 0:
@@ -234,20 +230,18 @@ def brute_core(p: Partition, s: int) -> Partition:
 
 def addable_boxes(p: Partition) -> list[Box]:
     """Boxes that can be added leaving a Young diagram."""
-    out = []
-    for i in range(1, len(p.parts) + 2):
-        j = p.row(i) + 1
-        if i == 1 or p.row(i - 1) >= j:
-            out.append(Box(i, j))
-    return out
+    padded = p.parts + (0,)
+    return [Box(1, padded[0] + 1)] + [
+        Box(i, part + 1) for i, (above, part) in enumerate(zip(padded, padded[1:]), start=2) if above > part
+    ]
 
 
 def removable_boxes(p: Partition) -> list[Box]:
     """Boxes that can be removed leaving a Young diagram (rim 1-hooks)."""
     return [
         Box(i, part)
-        for i, part in enumerate(p.parts, start=1)
-        if p.row(i + 1) < part
+        for i, (part, below) in enumerate(zip(p.parts, p.parts[1:] + (0,)), start=1)
+        if below < part
     ]
 
 

@@ -40,12 +40,23 @@ def random_s_point(rng: random.Random, s: int, spread: int = 5) -> SPoint:
     return SPoint(tuple(coords))
 
 
+def _check_row(name: str, scale: str, bad: list[tuple], names: str, noun: str = "failures") -> Check:
+    """A check row: it passes when no input went bad, and a failing row ends
+    with the first bad input, its values named by names; a partition is
+    written in parentheses, so that its commas and the empty one stay apart."""
+    detail = f"{scale}: {len(bad)} {noun}"
+    if bad:
+        values = ", ".join(f"({v})" if isinstance(v, Partition) else str(v) for v in bad[0])
+        detail += f"; first ({names}) = ({values})"
+    return name, not bad, detail
+
+
 # the levels the actions suite tries at each s, those coprime to s
 _ACTION_TS = (1, 2, 3, 4, 5, 7)
 
 
-def _coprime_ts(s: int) -> list[int]:
-    return [t for t in _ACTION_TS if math.gcd(s, t) == 1]
+def _coprime_ts(s: int, t_max: int) -> list[int]:
+    return [t for t in _ACTION_TS if t <= t_max and math.gcd(s, t) == 1]
 
 
 def _corpus_max(trials: int) -> int:
@@ -79,7 +90,7 @@ def suite_core_oracle(s_max: int, t_max: int, seed: int, trials: int) -> list[Ch
     bad_beta = []
     for p, row in _brute_cores(corpus, s_max):
         if abacus.partition_from_beta_set(abacus.beta_set(p)) != p:
-            bad_beta.append(p)
+            bad_beta.append((p,))
         lengths = parts.hook_lengths(p).values()
         for s, hooks, oracle_core in row:
             if abacus.core(p, s) != oracle_core:
@@ -90,9 +101,9 @@ def suite_core_oracle(s_max: int, t_max: int, seed: int, trials: int) -> list[Ch
                 bad_flag.append((p, s))
     scale = f"|p| <= {size_max}, s <= {s_max}"
     return [
-        ("core-oracle.bead-slide-vs-brute", not bad_core, f"{scale}: {len(bad_core)} mismatches"),
-        ("core-oracle.s-core-tests-agree", not bad_flag, f"{scale}: {len(bad_flag)} mismatches"),
-        ("core-oracle.beta-round-trip", not bad_beta, f"{scale}: {len(bad_beta)} mismatches"),
+        _check_row("core-oracle.bead-slide-vs-brute", scale, bad_core, "p, s", "mismatches"),
+        _check_row("core-oracle.s-core-tests-agree", scale, bad_flag, "p, s", "mismatches"),
+        _check_row("core-oracle.beta-round-trip", scale, bad_beta, "p", "mismatches"),
     ]
 
 
@@ -116,37 +127,36 @@ def _relation_failures(gen: Callable[[int, SPoint], SPoint], s: int, p: SPoint) 
 
 def suite_actions(s_max: int, t_max: int, seed: int, trials: int) -> list[Check]:
     rng = random.Random(seed)
-    fails = {"psi": 0, "chi": 0, "commute": 0, "agree": 0, "adjacent": 0}
+    psi_bad, chi_bad, commute_bad, agree_bad, adjacent_bad = [], [], [], [], []
     n_points = 0
     for s in range(2, s_max + 1):
         for i in range(s):
             if alcove_key(act.psi_gen(i, 1, origin(s))) != alcove_key(act.chi_gen(i, 1, origin(s))):
-                fails["agree"] += 1
-        for t in _coprime_ts(s):
-            if t > t_max:
-                continue
+                agree_bad.append((s, i))
+        for t in _coprime_ts(s, t_max):
             for _ in range(max(1, trials // 10)):
                 p = random_s_point(rng, s)
                 n_points += 1
                 if _relation_failures(lambda i, q: act.psi_gen(i, t, q), s, p):
-                    fails["psi"] += 1
+                    psi_bad.append((s, t, p))
                 if _relation_failures(lambda i, q: act.chi_gen(i, t, q), s, p):
-                    fails["chi"] += 1
+                    chi_bad.append((s, t, p))
                 a = rng.randrange(s)
                 b = rng.randrange(s)
                 left = alcove_key(act.psi_gen(a, t, act.chi_gen(b, t, p)))
                 right = alcove_key(act.chi_gen(b, t, act.psi_gen(a, t, p)))
                 if left != right:
-                    fails["commute"] += 1
-                if len(separating_hyperplanes(p, act.chi_gen(rng.randrange(s), 1, p))) != 1:
-                    fails["adjacent"] += 1
-    detail = f"{n_points} random points, s <= {s_max}"
+                    commute_bad.append((s, t, a, b, p))
+                i = rng.randrange(s)
+                if len(separating_hyperplanes(p, act.chi_gen(i, 1, p))) != 1:
+                    adjacent_bad.append((s, i, p))
+    scale = f"{n_points} random points, s <= {s_max}"
     return [
-        ("actions.relations-psi", fails["psi"] == 0, f"{detail}: {fails['psi']} failures"),
-        ("actions.relations-chi", fails["chi"] == 0, f"{detail}: {fails['chi']} failures"),
-        ("actions.commutation", fails["commute"] == 0, f"{detail}: {fails['commute']} failures"),
-        ("actions.level1-agreement", fails["agree"] == 0, f"origin alcove: {fails['agree']} failures"),
-        ("actions.adjacency", fails["adjacent"] == 0, f"{detail}: {fails['adjacent']} failures"),
+        _check_row("actions.relations-psi", scale, psi_bad, "s, t, point"),
+        _check_row("actions.relations-chi", scale, chi_bad, "s, t, point"),
+        _check_row("actions.commutation", scale, commute_bad, "s, t, a, b, point"),
+        _check_row("actions.level1-agreement", "origin alcove", agree_bad, "s, i"),
+        _check_row("actions.adjacency", scale, adjacent_bad, "s, i, point"),
     ]
 
 
@@ -170,26 +180,24 @@ def suite_olsson(s_max: int, t_max: int, seed: int, trials: int) -> list[Check]:
     rng = random.Random(seed)
     rows = _olsson_rows(s_max, t_max)
     count = sum(rows)
-    not_score = 0
-    descent_diff = 0
-    not_monotone = 0
+    not_score, descent_diff, not_monotone = [], [], []
     for _ in range(trials):
         s, t = _olsson_pair(rows, rng.randrange(count), t_max)  # the draw of rng.choice over the pair list
         lam = random_s_core(rng, s, 200)
         tcore = abacus.core(lam, t)
         if not abacus.is_s_core(tcore, s):
-            not_score += 1
+            not_score.append((s, t, lam))
         nu, trace = orbits.descend_to_t_core(lam, s, t)
         if nu != tcore:
-            descent_diff += 1
+            descent_diff.append((s, t, lam))
         seq = trace.sum_sq_sequence()
         if any(later >= earlier for earlier, later in zip(seq, seq[1:])):
-            not_monotone += 1
-    detail = f"{trials} random s-cores, s <= {s_max}, t <= {t_max}"
+            not_monotone.append((s, t, lam))
+    scale = f"{trials} random s-cores, s <= {s_max}, t <= {t_max}"
     return [
-        ("olsson.t-core-is-s-core", not_score == 0, f"{detail}: {not_score} failures"),
-        ("olsson.descent-matches-abacus", descent_diff == 0, f"{detail}: {descent_diff} failures"),
-        ("olsson.descent-strictly-decreasing", not_monotone == 0, f"{detail}: {not_monotone} failures"),
+        _check_row("olsson.t-core-is-s-core", scale, not_score, "s, t, lambda"),
+        _check_row("olsson.descent-matches-abacus", scale, descent_diff, "s, t, lambda"),
+        _check_row("olsson.descent-strictly-decreasing", scale, not_monotone, "s, t, lambda"),
     ]
 
 
@@ -235,14 +243,11 @@ def suite_vandehey(s_max: int, t_max: int, seed: int, trials: int) -> list[Check
                     chain_bad.append((s, t, p))
     grid = f"coprime s < t, s <= {s_max}, t <= {t_max}"
     chain_grid = f"all rhomboid points, s <= {chain_s_max}, t <= {chain_t_max}"
-    chain_detail = f"{chain_grid}: {len(chain_bad)} failures"
-    if chain_bad:
-        chain_detail += "; first (s, t, point) = ({}, {}, {})".format(*chain_bad[0])
     return [
-        ("vandehey.kane-size", not kane_bad, f"{grid}: {len(kane_bad)} failures"),
-        ("vandehey.anderson-count", not count_bad, f"{grid}: {len(count_bad)} failures"),
-        ("vandehey.containment", not contain_bad, f"{grid}: {len(contain_bad)} failures"),
-        ("vandehey.chains", not chain_bad, chain_detail),
+        _check_row("vandehey.kane-size", grid, kane_bad, "s, t"),
+        _check_row("vandehey.anderson-count", grid, count_bad, "s, t"),
+        _check_row("vandehey.containment", grid, contain_bad, "s, t"),
+        _check_row("vandehey.chains", chain_grid, chain_bad, "s, t, point"),
     ]
 
 
@@ -258,8 +263,7 @@ def _work_actions(s_max: int, t_max: int, trials: int):
     # per random point the relation checks apply about 4s^2 generators, each
     # moving s coordinates at the cost of about 32 moves for the call itself
     for s in range(2, s_max + 1):
-        ts = [t for t in _coprime_ts(s) if t <= t_max]
-        yield len(ts) * max(1, trials // 10) * 4 * s * s * (s + 32)
+        yield len(_coprime_ts(s, t_max)) * max(1, trials // 10) * 4 * s * s * (s + 32)
 
 
 def _work_olsson(s_max: int, t_max: int, trials: int):

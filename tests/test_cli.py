@@ -2,6 +2,7 @@ import io
 import json
 import math
 import random
+import re
 import signal
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
@@ -299,6 +300,159 @@ def test_actions_catch_a_generator_that_is_not_an_involution(capsys, monkeypatch
     assert code == 3
     assert rows["actions.relations-chi"] == "FAIL"
     assert rows["actions.relations-psi"] == "PASS"
+
+
+def _beta_round_trip_loses_a_box(monkeypatch):
+    real = abacus.partition_from_beta_set
+    wrong = abacus.beta_set(parts.Partition((2, 1)))
+    monkeypatch.setattr(
+        abacus, "partition_from_beta_set", lambda b: parts.Partition((2,)) if b == wrong else real(b)
+    )
+    return lambda: re.escape("(p) = ((2,1))")
+
+
+def _psi_wrong_at_4_3(monkeypatch, wrong):
+    """psi_t, with psi_gen(i, t, p) replaced by wrong(psi_gen, i, t, p) at s = 4,
+    t = 3 alone, so the level-1 agreement check does not see it; the witness
+    expected is the first point seen there, the suite's first draw at (4, 3).
+    Every image is a product of true psi_t generators, which commute with
+    chi_t, so only the relation check can see the change."""
+    from stcores import affine_actions
+
+    real = affine_actions.psi_gen
+    seen = []
+
+    def broken(i, t, p):
+        if (p.s, t) != (4, 3):
+            return real(i, t, p)
+        if not seen:
+            seen.append(p)
+        return wrong(real, i, t, p)
+
+    monkeypatch.setattr(affine_actions, "psi_gen", broken)
+    return lambda: re.escape(f"(s, t, point) = (4, 3, {seen[0]})")
+
+
+def _psi_is_chi_at_4_3(monkeypatch):
+    """At (4, 3) psi_t is chi_t: it satisfies every relation, but chi_a and chi_b
+    do not commute when a and b are neighbours."""
+    from stcores import affine_actions
+
+    real = affine_actions.psi_gen
+
+    def broken(i, t, p):
+        return affine_actions.chi_gen(i, t, p) if (p.s, t) == (4, 3) else real(i, t, p)
+
+    monkeypatch.setattr(affine_actions, "psi_gen", broken)
+    # the generators a and b and the point are drawn at random
+    return lambda: re.escape("(s, t, a, b, point) = (4, 3, ") + r"\d, \d, \(-?\d+(,-?\d+){3}\)\)"
+
+
+def _patch_first_call(monkeypatch, owner, name, change):
+    """Patch owner.name so that its first call returns change(its true result);
+    the list returned receives that call's arguments."""
+    real = getattr(owner, name)
+    first = []
+
+    def patched(*args):
+        result = real(*args)
+        if first:
+            return result
+        first.append(args)
+        return change(result)
+
+    monkeypatch.setattr(owner, name, patched)
+    return first
+
+
+def _olsson_witness(drawn):
+    def expected():
+        lam, s, t = drawn[0]
+        return re.escape(f"(s, t, lambda) = ({s}, {t}, ({lam}))")
+
+    return expected
+
+
+def _t_core_test_lies_once(monkeypatch):
+    _patch_first_call(monkeypatch, abacus, "is_s_core", lambda ok: not ok)
+    # the first trial's draw, read off its descent, which is left true
+    return _olsson_witness(_patch_first_call(monkeypatch, orbits, "descend_to_t_core", lambda r: r))
+
+
+def _descent_ends_a_box_long_once(monkeypatch):
+    def change(result):
+        nu, trace = result
+        return parts.Partition(nu.parts + (1,)), trace
+
+    return _olsson_witness(_patch_first_call(monkeypatch, orbits, "descend_to_t_core", change))
+
+
+def _descent_takes_one_step_too_many_once(monkeypatch):
+    # no move leaves the minimiser by a strict fall of the sum of squares
+    def change(result):
+        nu, trace = result
+        return nu, orbits.OrbitDescentTrace(trace.initial_sset, trace.t, trace.gens + (0,))
+
+    return _olsson_witness(_patch_first_call(monkeypatch, orbits, "descend_to_t_core", change))
+
+
+def _kappa_a_box_too_big(monkeypatch):
+    real = orbits.kappa
+
+    def broken(s, t):
+        kap = real(s, t)
+        return parts.Partition(kap.parts + (1,)) if (s, t) == (5, 7) else kap
+
+    monkeypatch.setattr(orbits, "kappa", broken)
+    return lambda: re.escape("(s, t) = (5, 7)")
+
+
+def _count_one_too_many(monkeypatch):
+    real = orbits.anderson_count
+    monkeypatch.setattr(orbits, "anderson_count", lambda s, t: real(s, t) + ((s, t) == (3, 4)))
+    return lambda: re.escape("(s, t) = (3, 4)")
+
+
+def _containment_misses_the_empty_core(monkeypatch):
+    real = parts.contains
+    wrong = (orbits.kappa(3, 7), parts.Partition())
+    monkeypatch.setattr(parts, "contains", lambda outer, inner: (outer, inner) != wrong and real(outer, inner))
+    return lambda: re.escape("(s, t) = (3, 7)")
+
+
+@pytest.mark.parametrize(
+    "suite, check, mutant",
+    [
+        ("core-oracle", "core-oracle.beta-round-trip", _beta_round_trip_loses_a_box),
+        # generator 1 then 2: not an involution
+        ("actions", "actions.relations-psi",
+         lambda mp: _psi_wrong_at_4_3(mp, lambda g, i, t, p: g(2, t, g(1, t, p)) if i == 1 else g(i, t, p))),
+        # generator 2 is generator 1: 0 and 2 no longer commute
+        ("actions", "actions.relations-psi",
+         lambda mp: _psi_wrong_at_4_3(mp, lambda g, i, t, p: g(1 if i == 2 else i, t, p))),
+        # generator 1 is generator 2: 0 and 1 no longer satisfy the braid relation
+        ("actions", "actions.relations-psi",
+         lambda mp: _psi_wrong_at_4_3(mp, lambda g, i, t, p: g(2 if i == 1 else i, t, p))),
+        ("actions", "actions.commutation", _psi_is_chi_at_4_3),
+        ("olsson", "olsson.t-core-is-s-core", _t_core_test_lies_once),
+        ("olsson", "olsson.descent-matches-abacus", _descent_ends_a_box_long_once),
+        ("olsson", "olsson.descent-strictly-decreasing", _descent_takes_one_step_too_many_once),
+        ("vandehey", "vandehey.kane-size", _kappa_a_box_too_big),
+        ("vandehey", "vandehey.anderson-count", _count_one_too_many),
+        ("vandehey", "vandehey.containment", _containment_misses_the_empty_core),
+    ],
+    ids=["beta", "psi-involution", "psi-commute", "psi-braid", "commutation", "t-core-is-s-core",
+         "descent-matches", "descent-decreasing", "kane-size", "anderson-count", "containment"],
+)
+def test_each_check_fails_alone_and_names_its_first_bad_input(capsys, monkeypatch, suite, check, mutant):
+    """An engine made wrong on one input fails exactly the check that tests it,
+    and that row ends with the input the engine got wrong."""
+    expected = mutant(monkeypatch)
+    code, out, _ = run_cli(capsys, "verify", "--suite", suite)
+    assert code == 3
+    rows = {line.split()[1]: line for line in out.splitlines()[:-1]}
+    assert [name for name, row in rows.items() if row.startswith("FAIL")] == [check]
+    assert re.search(r"; first " + expected() + "$", rows[check]), rows[check]
 
 
 def test_core_oracle_memo_equals_brute_core():

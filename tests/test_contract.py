@@ -75,6 +75,9 @@ BOUNDARY_CASES = {
     "reflect_hyperplane_mirror_outside_space": lambda: reflect_hyperplane(
         Hyperplane(1, 2, 0), Hyperplane(1, 4, 0), 3
     ),
+    # s is an exact int like every other s: a float or a bool does not name a space
+    "reflect_hyperplane_float_s": lambda: reflect_hyperplane(Hyperplane(1, 2, 0), Hyperplane(1, 3, 0), 3.0),
+    "reflect_hyperplane_bool_s": lambda: reflect_hyperplane(Hyperplane(1, 2, 0), Hyperplane(1, 3, 0), True),
     "meets_rhomboid_hyperplane_outside_space": lambda: hyperplane_meets_rhomboid(
         Hyperplane(1, 4, 1), 3, 4
     ),

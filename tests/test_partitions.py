@@ -7,13 +7,16 @@ from stcores import DomainError
 from stcores.partitions import (
     Box,
     Partition,
+    addable_boxes,
     boxes_of_residue,
     brute_core,
+    conjugate,
     contains,
     from_text,
     hook_lengths,
     is_s_core_by_hooks,
     partitions_up_to,
+    removable_boxes,
     remove_rim_hook,
     removable_rim_hooks,
     rim,
@@ -195,3 +198,49 @@ def test_removing_any_hook_preserves_the_core(p, s):
     expected = brute_core(p, s)
     for hook in removable_rim_hooks(p, s):
         assert brute_core(remove_rim_hook(p, hook), s) == expected
+
+
+def _row(p, i):
+    """Oracle: the i-th part, 1-based, reading 0 beyond the last row."""
+    return p.parts[i - 1] if 1 <= i <= len(p.parts) else 0
+
+
+def _contains_by_rows(outer, inner):
+    return all(_row(inner, i) <= _row(outer, i) for i in range(1, len(inner) + 1))
+
+
+def _conjugate_by_rows(p):
+    return Partition(tuple(sum(1 for part in p.parts if part >= j) for j in range(1, _row(p, 1) + 1)))
+
+
+def _rim_by_rows(p):
+    return {Box(i, j) for i in range(1, len(p) + 1) for j in range(max(1, _row(p, i + 1)), _row(p, i) + 1)}
+
+
+def _addable_by_rows(p):
+    return [Box(i, _row(p, i) + 1) for i in range(1, len(p) + 2) if i == 1 or _row(p, i - 1) > _row(p, i)]
+
+
+def _removable_by_rows(p):
+    return [Box(i, _row(p, i)) for i in range(1, len(p) + 1) if _row(p, i + 1) < _row(p, i)]
+
+
+def test_row_reads_equal_the_row_wise_definitions():
+    """Every partition of size at most 8, and contains on every pair of them,
+    against the definitions written through a 1-based row accessor that reads
+    0 past the last row."""
+    small = list(partitions_up_to(8))
+    assert len(small) == 67
+    for p in small:
+        assert conjugate(p) == _conjugate_by_rows(p), p
+        assert rim(p) == _rim_by_rows(p), p
+        assert addable_boxes(p) == _addable_by_rows(p), p
+        assert removable_boxes(p) == _removable_by_rows(p), p
+    pairs = [(outer, inner) for outer in small for inner in small]
+    assert len(pairs) == 4489
+    for outer, inner in pairs:
+        assert contains(outer, inner) == _contains_by_rows(outer, inner), (outer, inner)
+
+
+def test_a_partition_is_read_through_its_parts_alone():
+    assert not hasattr(Partition, "row")
