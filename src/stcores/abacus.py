@@ -21,16 +21,14 @@ cheaper and is used instead; the choice depends on n and s alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import repeat
 from operator import add, mod
 
-from .errors import DomainError, _read_ints, _trusted, check_int, check_s_set, check_span
+from .errors import DomainError, _Value, _read_ints, _set, _trusted, check_int, check_s_set, check_span
 from .partitions import Partition
 
 
-@dataclass(frozen=True)
-class BetaSet:
+class BetaSet(_Value):
     """Canonical finite encoding of the beta-number sequence.
 
     ``heads`` lists lambda_i - i for the n positive parts; the implicit tail
@@ -38,7 +36,9 @@ class BetaSet:
     the last head is at least 1 - n.
     """
 
-    heads: tuple[int, ...] = ()
+    def __init__(self, heads: tuple[int, ...] = ()) -> None:
+        _set(self, "heads", heads)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         n = len(self.heads)
@@ -50,12 +50,13 @@ class BetaSet:
             raise DomainError("beta heads run into the regular tail")
 
 
-@dataclass(frozen=True)
-class SSet:
+class SSet(_Value):
     """s integers, pairwise incongruent mod s, summing to s(s-1)/2."""
 
-    s: int
-    elements: frozenset[int]
+    def __init__(self, s: int, elements: frozenset[int]) -> None:
+        _set(self, "s", s)
+        _set(self, "elements", elements)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         check_s_set(self.s, self.elements)

@@ -8,19 +8,19 @@ s-point inside an alcove (equivalently its floor-vector key) is its identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, product
 
 from .abacus import SSet
-from .errors import MAX_SCAN, DomainError, _read_ints, _trusted, check_coords, check_int, check_pair, check_s_set
-from .errors import check_scan, check_span
+from .errors import MAX_SCAN, DomainError, _Value, _read_ints, _set, _trusted, check_coords, check_int, check_pair
+from .errors import check_s_set, check_scan, check_span
 
 
-@dataclass(frozen=True)
-class SPoint:
+class SPoint(_Value):
     """Integer point of P^s whose coordinates form an s-set."""
 
-    coords: tuple[int, ...]
+    def __init__(self, coords: tuple[int, ...]) -> None:
+        _set(self, "coords", coords)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         check_s_set(len(self.coords), self.coords)
@@ -33,13 +33,14 @@ class SPoint:
         return point_to_text(self)
 
 
-@dataclass(frozen=True)
-class Hyperplane:
+class Hyperplane(_Value):
     """H_ij^k = {p : p_j - p_i = k s}, with 1 <= i < j."""
 
-    i: int
-    j: int
-    k: int
+    def __init__(self, i: int, j: int, k: int) -> None:
+        _set(self, "i", i)
+        _set(self, "j", j)
+        _set(self, "k", k)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         check_int(self.i, "i", 1)
@@ -47,12 +48,12 @@ class Hyperplane:
         check_int(self.k, "k")
 
 
-@dataclass(frozen=True)
-class AlcoveKey:
+class AlcoveKey(_Value):
     """floor((p_j - p_i)/s) per pair i < j, pairs in lexicographic order."""
 
-    s: int
-    floors: tuple[int, ...]
+    def __init__(self, s: int, floors: tuple[int, ...]) -> None:
+        _set(self, "s", s)
+        _set(self, "floors", floors)
 
 
 def point_to_text(p: SPoint) -> str:

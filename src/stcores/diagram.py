@@ -13,11 +13,9 @@ a pure function of the inputs, hence byte-identical across runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .abacus import core, core_from_s_set
 from .alcoves import SPoint, sset_of_point
-from .errors import DomainError, check_int, check_pair, check_scan
+from .errors import DomainError, _Value, _set, check_int, check_pair, check_scan
 from .partitions import Partition
 
 _UX = 15  # pixels per unit of u - v
@@ -25,14 +23,15 @@ _UY = 26  # pixels per unit of u + v
 _MARGIN = 20
 
 
-@dataclass(frozen=True)
-class RenderSpec:
+class RenderSpec(_Value):
     """Parameters for the alcove diagram."""
 
-    s: int
-    depth: int
-    mode: str
-    t: int | None = None
+    def __init__(self, s: int, depth: int, mode: str, t: int | None = None) -> None:
+        _set(self, "s", s)
+        _set(self, "depth", depth)
+        _set(self, "mode", mode)
+        _set(self, "t", t)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         check_int(self.s, "s")
@@ -56,17 +55,17 @@ class RenderSpec:
         check_scan(alcoves * per_alcove, f"diagram of {alcoves} alcoves")
 
 
-@dataclass(frozen=True)
-class Alcove:
+class Alcove(_Value):
     """A dominant alcove of P^3, addressed by its wall floors.
 
     a = floor(u/3), b = floor(v/3) for the gaps (u, v) of its dominant point;
     up-triangles have u + v below the next level wall, down-triangles above.
     """
 
-    a: int
-    b: int
-    up: bool
+    def __init__(self, a: int, b: int, up: bool) -> None:
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "up", up)
 
     @property
     def depth(self) -> int:

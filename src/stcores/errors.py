@@ -18,6 +18,7 @@ by a move that keeps the contract are built with ``_trusted``.
 """
 
 import math
+from operator import attrgetter
 
 # Sizes and coordinates are kept inside 63-bit signed range so that results
 # stay comparable with any fixed-width reimplementation of the text formats.
@@ -142,13 +143,48 @@ _new = object.__new__
 _set = object.__setattr__
 
 
+class _Value:
+    """A frozen value whose fields are the parameters of its class's __init__.
+
+    It equals only a value of its own class with equal fields, hashes
+    alike, prints as ``Cls(field=value, ...)`` and refuses assignment and
+    deletion.  Each class's own ``__init__`` sets the fields through ``_set``
+    and then calls ``self.__post_init__()``, its check, where it has one.
+    """
+
+    def __init_subclass__(cls) -> None:
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1 : code.co_argcount]
+        key = attrgetter(*cls._fields)  # a closure cell, read faster than a class attribute
+
+        def __eq__(self, other):
+            if other.__class__ is self.__class__:
+                return key(self) == key(other)
+            return NotImplemented
+
+        def __hash__(self) -> int:
+            return hash(key(self))
+
+        cls.__eq__, cls.__hash__ = __eq__, __hash__
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 def _trusted(cls, **fields):
     """cls(**fields) without its __post_init__ check, for values derived from
     checked ones by a move that keeps cls's contract; each caller names it.
 
-    Fields go in through object.__setattr__, as a frozen dataclass's own
-    __init__ puts them, never through obj.__dict__: writing the dict makes
-    the instance hold a materialised dict of its own, larger per value."""
+    Fields go in through object.__setattr__, as each class's own __init__
+    puts them, never through obj.__dict__: writing the dict makes the
+    instance hold a materialised dict of its own, larger per value."""
     obj = _new(cls)
     for name, value in fields.items():
         _set(obj, name, value)

@@ -24,15 +24,14 @@ from __future__ import annotations
 import math
 from bisect import insort
 from collections import defaultdict
-from dataclasses import dataclass
 from itertools import combinations
 
 from .abacus import SSet, _partition_from_first_gaps, core_from_s_set, q_set, size_from_s_set
 from .alcoves import SPoint, _check_rhomboid, fold_to_dominant, in_rhomboid, tip
 from .affine_actions import _t_cycle
 from . import errors
-from .errors import DomainError, _trusted, check_coords, check_count_bits, check_int, check_pair, check_scan
-from .errors import count_bits_below
+from .errors import DomainError, _Value, _set, _trusted, check_coords, check_count_bits, check_int, check_pair
+from .errors import check_scan, count_bits_below
 from .partitions import Partition
 
 
@@ -45,8 +44,7 @@ def residue_multiset(q: SSet, t: int) -> tuple[int, ...]:
     return tuple(counts)
 
 
-@dataclass(frozen=True)
-class OrbitDescentTrace:
+class OrbitDescentTrace(_Value):
     """Record of a greedy descent: the start and the generator word applied.
 
     The s-set after each step is not stored; ``iter_steps`` replays the word
@@ -55,9 +53,10 @@ class OrbitDescentTrace:
     step at a time holds one s-set at a time.
     """
 
-    initial_sset: SSet
-    t: int
-    gens: tuple[int, ...]
+    def __init__(self, initial_sset: SSet, t: int, gens: tuple[int, ...]) -> None:
+        _set(self, "initial_sset", initial_sset)
+        _set(self, "t", t)
+        _set(self, "gens", gens)
 
     def _replay(self):
         """(generator, b - a) for each step, with the t-cycle after the step
@@ -308,13 +307,14 @@ def enumerate_st_cores(s: int, t: int) -> list[Partition]:
     return cores
 
 
-@dataclass(frozen=True)
-class ContainmentChain:
+class ContainmentChain(_Value):
     """A gallery walk whose cores grow weakly from start to the extremal core."""
 
-    points: tuple[SPoint, ...]
-    cores: tuple[Partition, ...]
-    gens: tuple[int, ...]
+    def __init__(self, points: tuple[SPoint, ...], cores: tuple[Partition, ...],
+                 gens: tuple[int, ...]) -> None:
+        _set(self, "points", points)
+        _set(self, "cores", cores)
+        _set(self, "gens", gens)
 
     def __len__(self) -> int:
         return len(self.gens)

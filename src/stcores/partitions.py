@@ -13,23 +13,23 @@ machinery with it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Callable, Iterator
+from itertools import chain
 from operator import le
-from typing import Callable, Iterator, NamedTuple
 
-from .errors import MAX_SIZE, DomainError, _read_ints, check_int
+from .errors import MAX_SIZE, DomainError, _Value, _read_ints, _set, check_int
 
-
-class Box(NamedTuple):
-    row: int
-    col: int
+Box = namedtuple("Box", "row col")
 
 
-@dataclass(frozen=True, order=True)
-class Partition:
-    """A partition as a weakly decreasing tuple of positive integers."""
+class Partition(_Value):
+    """A partition as a weakly decreasing tuple of positive integers,
+    ordered as its tuple of parts."""
 
-    parts: tuple[int, ...] = ()
+    def __init__(self, parts: tuple[int, ...] = ()) -> None:
+        _set(self, "parts", parts)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         total = 0
@@ -52,6 +52,18 @@ class Partition:
 
     def __str__(self) -> str:
         return to_text(self)
+
+    def __lt__(self, other):
+        return self.parts < other.parts if other.__class__ is self.__class__ else NotImplemented
+
+    def __le__(self, other):
+        return self.parts <= other.parts if other.__class__ is self.__class__ else NotImplemented
+
+    def __gt__(self, other):
+        return self.parts > other.parts if other.__class__ is self.__class__ else NotImplemented
+
+    def __ge__(self, other):
+        return self.parts >= other.parts if other.__class__ is self.__class__ else NotImplemented
 
 
 def from_text(text: str) -> Partition:
@@ -150,15 +162,15 @@ def rim_path(p: Partition) -> list[Box]:
     return path
 
 
-@dataclass(frozen=True)
-class RimHook:
+class RimHook(_Value):
     """A removable rim hook: consecutive rim boxes whose removal is valid.
 
     Instances produced by ``removable_rim_hooks`` are pre-validated;
     ``remove_rim_hook`` re-validates against the partition it is applied to.
     """
 
-    boxes: tuple[Box, ...]
+    def __init__(self, boxes: tuple[Box, ...]) -> None:
+        _set(self, "boxes", boxes)
 
     def __len__(self) -> int:
         return len(self.boxes)
@@ -205,6 +217,9 @@ def remove_rim_hook(p: Partition, h: RimHook) -> Partition:
     box_set = set(boxes(p))
     if not h.boxes or any(b not in box_set for b in h.boxes):
         raise DomainError("hook does not fit the partition")
+    # Box(1.0, 1.0) and Box(True, True) fit as box (1, 1) does
+    if not {int}.issuperset(map(type, chain.from_iterable(h.boxes))):
+        check_int(next(c for c in chain.from_iterable(h.boxes) if type(c) is not int), "hook box coordinate")
     for a, b in zip(h.boxes, h.boxes[1:]):
         if (b.row - a.row, b.col - a.col) not in ((1, 0), (0, -1)):
             raise DomainError("hook boxes are not consecutive along the rim")

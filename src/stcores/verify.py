@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import random
 from itertools import islice
-from typing import Callable
+from collections.abc import Callable
 
 from . import abacus, affine_actions as act, orbits, partitions as parts
 from .abacus import core_from_s_set, q_set, size_from_s_set

@@ -28,13 +28,16 @@ from stcores.orbits import (
 from stcores.diagram import RenderSpec
 from stcores.abacus import core, is_s_core
 from stcores.partitions import (
+    Box,
     Partition,
+    RimHook,
     boxes_of_residue,
     brute_core,
     from_text,
     is_s_core_by_hooks,
     partitions_up_to,
     removable_rim_hooks,
+    remove_rim_hook,
     toggle_residue,
 )
 
@@ -114,6 +117,10 @@ BOUNDARY_CASES = {
     "partitions_up_to_float_n": lambda: partitions_up_to(2.5),
     "beta_set_float_head": lambda: BetaSet((0.5,)),
     "beta_set_bool_head": lambda: BetaSet((True,)),
+    # a hook's box equal to (1, 1) but not made of ints fits the partition, then
+    # breaks the removal or reads as row 1
+    "remove_rim_hook_float_box": lambda: remove_rim_hook(Partition((1,)), RimHook((Box(1.0, 1.0),))),
+    "remove_rim_hook_bool_box": lambda: remove_rim_hook(Partition((1,)), RimHook((Box(True, True),))),
 }
 
 

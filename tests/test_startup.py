@@ -75,6 +75,18 @@ def test_commands_import_only_what_they_run(argv, bare_modules):
     assert "json" in plain | added
 
 
+@pytest.mark.parametrize("argv", [*COMMANDS, ["diagram", "--s", "3", "--t", "4", "--depth", "3", "--mode", "tcores"],
+                                  ["verify", "--suite", "all", "--s-max", "3", "--t-max", "4", "--trials", "5"]],
+                         ids=lambda argv: argv[0])
+def test_no_command_loads_dataclasses_inspect_or_typing(argv, bare_modules):
+    """The value types are plain classes, and annotations name collections.abc,
+    so start-up never pays for these three modules and what they import."""
+    proc = _run(["-c", CHILD, *argv])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    plain, added = (set(line.split()) for line in proc.stdout.split("\n")[-3:-1])
+    assert sorted(((plain | added) & {"dataclasses", "inspect", "typing"}) - bare_modules) == []
+
+
 def test_suite_names_are_verify_suites_in_order():
     assert cli._SUITES == tuple(verify.SUITES)
 
