@@ -75,7 +75,7 @@ def test_partitions_sort_like_their_parts():
     (Partition, {"parts": (2, 1)}),
     (SSet, {"s": 3, "elements": frozenset({0, 1, 2})}),
     (SPoint, {"coords": (0, 1, 2)}),
-])
+], ids=["Partition", "SSet", "SPoint"])
 def test_a_patched_check_runs_on_construction_and_not_on_trusted_builds(cls, fields, monkeypatch):
     """A class-level patch of __post_init__, as a build counter installs it,
     sees every checked construction and no ``_trusted`` one."""
