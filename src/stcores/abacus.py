@@ -11,18 +11,22 @@ bead counting instead of simulating single slides; the two agree because
 sliding preserves per-runner bead counts above any fixed floor.
 
 ``q_set``, ``core`` and ``is_s_core`` all read every row once, to count the
-beads on each runner.  From 512 rows up and for s <= 24 the count is a few
-C-level passes over one byte per row: lambda_i mod s, plus -i mod s added
-in one big-int addition (each byte sum is at most 2s - 2 < 256, so none
-carries), folded mod s by ``translate`` and counted by s ``bytes.count``
-calls.  On smaller inputs, or larger s, a plain loop over the rows is
-cheaper and is used instead; the choice depends on n and s alone.
+beads on each runner.  From 256 rows up and for s <= 29 the count is a few
+C-level passes over byte planes: the parts are packed once as 8-byte
+integers, plane k (byte k of every part) is read mod s by ``translate``
+through the table b -> b * 256^k mod s, and the planes and the bytes
+-i mod s are added as big ints (each byte sum is at most 9(s - 1) < 256, so
+none carries), folded mod s by ``translate`` and counted by s
+``bytes.count`` calls.  On fewer rows a plain loop over the rows is
+cheaper, and on larger s the byte sums could carry, so the loop is used
+there instead; the choice depends on n and s alone.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
-from operator import add, mod
+import sys
+from functools import cache
+from operator import add
 
 from .errors import DomainError, _Value, _read_ints, _set, _trusted, check_int, check_s_set, check_span
 from .partitions import Partition
@@ -98,21 +102,19 @@ def _packed_first_gaps(p: Partition, s: int) -> list[int]:
     runner) + s * (heads on the runner + 1).
 
     Row i puts its bead lambda_i - i on runner (lambda_i mod s + (-i mod s))
-    mod s.  From 512 rows up, and for s <= 24, the runners are counted in
-    C-level byte passes instead of one Python step per row: byte i - 1 holds
-    lambda_i mod s, one big-int addition adds the periodic bytes -i mod s
-    (each byte sum is at most 2s - 2 < 256, so no byte carries into the
-    next), one ``translate`` folds every byte mod s, and s ``bytes.count``
-    calls read off the runners.  The passes cost a few microseconds to set
-    up and then about s/2 ns per row for the counts, so the loop stays where
-    it is cheaper: below 512 rows, where the set-up is not repaid, and above
-    s = 24, where the counts cost as much as the passes save.
+    mod s.  From 256 rows up, and for s <= 29, the runners are counted in
+    C-level byte passes instead of one Python step per row
+    (``_runner_counts_by_bytes``).  The passes cost a few microseconds to
+    set up, then per row about 5 ns to pack the parts, 1.5 ns for each byte
+    plane and 0.5-3 ns for each of the s counts, so the loop, at about
+    40-55 ns per row, stays below 256 rows, where the set-up is not repaid,
+    and above s = 29, where the byte sums of the passes could carry.
     """
     check_int(s, "s", 1)
     check_span(s - 1)  # s first gaps in distinct classes span at least s - 1
     parts = p.parts
     n = len(parts)
-    if n >= 512 and s <= 24:
+    if n >= 256 and s <= 29:
         counts = _runner_counts_by_bytes(parts, s)
     else:
         counts = [0] * s
@@ -122,13 +124,36 @@ def _packed_first_gaps(p: Partition, s: int) -> list[int]:
     return [top - ((top - r) % s) + s * (counts[r] + 1) for r in range(s)]
 
 
+@cache
+def _plane_table(s: int, k: int) -> bytes:
+    """b -> b * 256^k mod s: byte k of an integer, read mod s."""
+    m = pow(256, k, s)
+    return bytes(b * m % s for b in range(256))
+
+
 def _runner_counts_by_bytes(parts, s: int) -> list[int]:
-    """The number of beads lambda_i - i on each runner, by the byte passes of
-    ``_packed_first_gaps``; exact for 1 <= s <= 128, where 2s - 2 < 256."""
+    """The number of beads lambda_i - i on each runner, for n >= 1
+    non-increasing parts below 2^64.
+
+    The parts are packed once as native 8-byte integers; plane k, byte k of
+    every part, is read mod s through ``_plane_table``, for each of the
+    ceil(bitlen(parts[0]) / 8) planes a part can fill.  The planes and the
+    periodic bytes -i mod s are added as big ints, one byte per row: with w
+    planes each byte sum is at most (w + 1)(s - 1), so for 1 <= s <= 29,
+    where 9(s - 1) < 256, no byte carries into the next.  One ``translate``
+    folds each sum mod s and s ``bytes.count`` calls read off the runners.
+    """
+    import array  # a C extension that takes 0.16 ms to load, so start-up does not import it
+
     n = len(parts)
-    shifts = (bytes(range(s - 1, -1, -1)) * (n // s + 1))[:n]
-    sums = int.from_bytes(bytes(map(mod, parts, repeat(s))), "little") + int.from_bytes(shifts, "little")
-    runners = sums.to_bytes(n, "little").translate((bytes(range(s)) * (256 // s + 1))[:256])
+    packed = array.array("Q", parts)
+    if sys.byteorder == "big":
+        packed.byteswap()  # so that byte k of row i is byte 8i + k
+    raw = packed.tobytes()
+    sums = int.from_bytes((bytes(range(s - 1, -1, -1)) * (n // s + 1))[:n], "little")
+    for k in range((parts[0].bit_length() + 7) // 8):
+        sums += int.from_bytes(raw[k::8].translate(_plane_table(s, k)), "little")
+    runners = sums.to_bytes(n, "little").translate(_plane_table(s, 0))
     return list(map(runners.count, range(s)))
 
 

@@ -103,15 +103,37 @@ def descend_to_t_core(lam: Partition, s: int, t: int) -> tuple[Partition, OrbitD
     the bead-closure condition for t, so the result is a t-core, and it
     equals the t-core of lam because every step preserves it.
 
-    The loop runs on c_j = jt - cycle[j], where a move is a sort step.
-    Generator i >= 1 improves iff c[i] < c[i-1], and its move swaps the two
-    entries.  Generator 0 compares across the wrap: it improves iff
-    c[0] < c[s-1] - st, and its move sets c[0], c[s-1] to c[s-1] - st,
-    c[0] + st (the affine wall H_{1,s}^t of psi_t).  So the descent sorts
-    the sequence C[j + ks] = c_j + kst by adjacent swaps, and its length is
-    the number of inversions of C (pairs n < m with C[n] > C[m], n in
-    0..s-1): the sum over 0 <= i, j < s of
+    The loop (``_sort_descent``) runs on c_j = jt - cycle[j], where a move is
+    a sort step.  Generator i >= 1 improves iff c[i] < c[i-1], and its move
+    swaps the two entries.  Generator 0 compares across the wrap: it
+    improves iff c[0] < c[s-1] - st, and its move sets c[0], c[s-1] to
+    c[s-1] - st, c[0] + st (the affine wall H_{1,s}^t of psi_t).  So the
+    descent sorts the sequence C[j + ks] = c_j + kst by adjacent swaps, and
+    its length is the number of inversions of C (pairs n < m with
+    C[n] > C[m], n in 0..s-1): the sum over 0 <= i, j < s of
     max(0, ceil((c_i - c_j)/st) - [j <= i]).
+
+    The length is bounded before the first step, so the loop checks nothing.
+    Since b = a + t mod s, an improving move has b - a - t a positive
+    multiple of s, and it takes t(b - a - t)/s >= t boxes: the descent has at
+    most |lam|/t steps, read from the s-set in O(s).  Only when that bound
+    passes MAX_SCAN is the length counted exactly, in O(s log s)
+    (``_descent_length``), and the descent is refused iff it passes the cap.
+    """
+    check_pair(s, t)
+    q = q_set(lam, s)  # validates that lam is an s-core
+    c = [j * t - a for j, a in enumerate(_t_cycle(q.elements, s, t))]
+    st = s * t
+    if size_from_s_set(q) // t > errors.MAX_SCAN:  # read per call, so a test can lower it
+        check_scan(_descent_length(c, st), "descent")  # each step is O(1), so this bounds the time
+    gens = _sort_descent(c, st)
+    # every move was a chi_t move, so jt - c_j is still an s-set
+    final = _trusted(SSet, s=s, elements=frozenset(j * t - x for j, x in enumerate(c)))
+    return core_from_s_set(final), OrbitDescentTrace(initial_sset=q, t=t, gens=tuple(gens))
+
+
+def _sort_descent(c: list[int], st: int) -> list[int]:
+    """The greedy word of ``descend_to_t_core``, sorting c in place.
 
     The greedy scan does not restart at 0 after a move.  It keeps the
     invariant that no generator below the scan position improves, i.e.
@@ -135,28 +157,21 @@ def descend_to_t_core(lam: Partition, s: int, t: int) -> tuple[Partition, OrbitD
     followed by another (c[0] < c[s-1] - st now reads c[s-1] - st < c[0]
     before the move), so the scan goes on at 1.
     """
-    check_pair(s, t)
-    q = q_set(lam, s)  # validates that lam is an s-core
-    c = [j * t - a for j, a in enumerate(_t_cycle(q.elements, s, t))]
-    st, last = s * t, s - 1
+    s = len(c)
+    last = s - 1
     gens: list[int] = []
     append = gens.append
-    cap = errors.MAX_SCAN  # read per call, so a test can lower it
     i = 1  # the next generator >= 1 to check; c[0..i-1] is non-decreasing
     while True:
         if c[0] < c[last] - st:
             c[0], c[last] = c[last] - st, c[0] + st
             append(0)
-            if len(gens) > cap:  # each step is O(1), so this bounds the time
-                check_scan(len(gens), "descent")
             i = 1
         while i < s:
             x, y = c[i], c[i - 1]
             if x < y:
                 c[i] = y
                 append(i)
-                if len(gens) > cap:
-                    check_scan(len(gens), "descent")
                 if i == last:
                     c[i - 1] = x
                     i = last - 1 or 1
@@ -165,8 +180,6 @@ def descend_to_t_core(lam: Partition, s: int, t: int) -> tuple[Partition, OrbitD
                 while j and x < c[j - 1]:
                     c[j] = c[j - 1]
                     append(j)
-                    if len(gens) > cap:
-                        check_scan(len(gens), "descent")
                     j -= 1
                 c[j] = x
                 i += 1
@@ -175,10 +188,43 @@ def descend_to_t_core(lam: Partition, s: int, t: int) -> tuple[Partition, OrbitD
             else:
                 i += 1
         else:
-            break
-    # every move was a chi_t move, so jt - c_j is still an s-set
-    final = _trusted(SSet, s=s, elements=frozenset(j * t - x for j, x in enumerate(c)))
-    return core_from_s_set(final), OrbitDescentTrace(initial_sset=q, t=t, gens=tuple(gens))
+            return gens
+
+
+def _descent_length(c: list[int], st: int) -> int:
+    """The number of inversions of C[j + ks] = c_j + kst, in O(s log s).
+
+    Take two indices i < j with c_i != c_j, and write hi, lo for the one
+    with the larger and the smaller c.  With q = c // st and r = c mod st,
+    the pair gives ceil((c_hi - c_lo)/st) = q_hi - q_lo + [r_hi > r_lo]
+    inversions C[hi] > C[lo + ks], over k >= 0, when hi = i, and one fewer,
+    over k >= 1, when hi = j; a pair with c_i = c_j gives none.  Summed over
+    the pairs: the spread of q, plus the pairs that rise in both c and r,
+    minus the pairs that rise in both index and c.
+    """
+    order = sorted(c)
+    s = len(c)
+    spread = sum(x // st * (2 * k - s + 1) for k, x in enumerate(order))  # sum of q_hi - q_lo
+    return spread + _rising_pairs([x % st for x in order]) - _rising_pairs(c)
+
+
+def _rising_pairs(values: list[int]) -> int:
+    """The pairs i < j with values[i] < values[j], by a Fenwick tree over
+    the ranks of the values."""
+    rank = {v: k for k, v in enumerate(sorted(set(values)), start=1)}
+    size = len(rank)
+    tree = [0] * (size + 1)  # tree[k] counts the values seen with rank in (k - (k & -k), k]
+    pairs = 0
+    for v in values:
+        k = rank[v]
+        below = k - 1
+        while below:
+            pairs += tree[below]
+            below &= below - 1
+        while k <= size:
+            tree[k] += 1
+            k += k & -k
+    return pairs
 
 
 def same_level_t_orbit(lam: Partition, mu: Partition, s: int, t: int) -> bool:

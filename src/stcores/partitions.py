@@ -214,6 +214,9 @@ def removable_rim_hooks(p: Partition, s: int) -> list[RimHook]:
 
 def remove_rim_hook(p: Partition, h: RimHook) -> Partition:
     """Remove a rim hook, validating it against p."""
+    bad = next((b for b in h.boxes if type(b) is not Box), None)
+    if bad is not None:  # a list would end the fit check below in a TypeError
+        raise DomainError(f"hook boxes must be Box values, got {bad!r}")
     box_set = set(boxes(p))
     if not h.boxes or any(b not in box_set for b in h.boxes):
         raise DomainError("hook does not fit the partition")

@@ -138,10 +138,10 @@ def _position_scan_core(gaps, s):
 
 def _seeded_ssets():
     """s-sets r + s*c_r (sum of c_r = 0) for s = 2..13 and a few larger s on
-    both sides of the byte-count bound s <= 24 of _packed_first_gaps, from 0
+    both sides of the byte-count bound s <= 29 of _packed_first_gaps, from 0
     to about 10^6 boxes."""
     rng = random.Random("builder")
-    for s in (*range(2, 14), 20, 24, 25, 40, 64, 65, 100):
+    for s in (*range(2, 14), 20, 24, 25, 29, 30, 40, 64, 65, 100):
         for k in (0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512):
             c = [rng.randint(-k, k) for _ in range(s - 1)]
             c.append(-sum(c))
@@ -163,9 +163,9 @@ def test_builder_matches_position_scan():
     assert min(sizes) == 0 and max(sizes) > 10**6
 
 
-def _runner_counts_by_rows(p, s):
-    """Oracle for the bead count of each runner, one beta-set head at a time."""
-    counts = Counter(h % s for h in beta_set(p).heads)
+def _runner_counts_by_rows(parts, s):
+    """Oracle for the bead count of each runner, one bead lambda_i - i at a time."""
+    counts = Counter((part - i) % s for i, part in enumerate(parts, start=1))
     return [counts[r] for r in range(s)]
 
 
@@ -173,7 +173,7 @@ def _first_gaps_by_rows(p, s):
     """Oracle for _packed_first_gaps: stack each runner's beads on the
     runner's highest tail bead."""
     gaps = []
-    for r, count in enumerate(_runner_counts_by_rows(p, s)):
+    for r, count in enumerate(_runner_counts_by_rows(p.parts, s)):
         x = -(len(p.parts) + 1)
         while x % s != r:
             x -= 1
@@ -201,15 +201,15 @@ def _core_with_rows(n, s, rng):
     return q, core_from_s_set(q)
 
 
-@pytest.mark.parametrize("s", [1, 2, 3, 7, 13, 24, 25, 63, 64, 65, 128, 129, 300])
+@pytest.mark.parametrize("s", [1, 2, 3, 7, 13, 24, 25, 29, 30, 63, 64, 65, 128, 129, 300])
 def test_runner_counts_are_exact_across_the_path_bound(s):
     """_packed_first_gaps, is_s_core and q_set against the per-row oracles,
-    at 511, 512 and 513 rows (the byte passes start at 512 rows and s <= 24)
+    at 255, 256 and 257 rows (the byte passes start at 256 rows and s <= 29)
     and 5000 rows, on non-cores with parts up to 10^15 and on s-cores.  The
-    byte passes are also compared directly wherever they are exact (s <= 128),
+    byte passes are also compared directly wherever they are exact (s <= 29),
     so a miscount on either path fails."""
     rng = random.Random(f"paths-{s}")
-    for n in (511, 512, 513, 5000):
+    for n in (255, 256, 257, 5000):
         top = min(10**15, MAX_SIZE // n)
         cases = [Partition(tuple(sorted((rng.randint(1, top) for _ in range(n)), reverse=True)))]
         if s >= 2:
@@ -219,8 +219,8 @@ def test_runner_counts_are_exact_across_the_path_bound(s):
         for p in cases:
             gaps = _first_gaps_by_rows(p, s)
             assert _packed_first_gaps(p, s) == gaps, (n, s)
-            if s <= 128:
-                assert _runner_counts_by_bytes(p.parts, s) == _runner_counts_by_rows(p, s), (n, s)
+            if s <= 29:
+                assert _runner_counts_by_bytes(p.parts, s) == _runner_counts_by_rows(p.parts, s), (n, s)
             is_core = _is_core_by_rows(p, s)
             assert is_s_core(p, s) == is_core, (n, s)
             if s >= 2 and is_core:
@@ -231,6 +231,45 @@ def test_runner_counts_are_exact_across_the_path_bound(s):
         assert not _is_core_by_rows(cases[0], s)  # the random partitions are not cores
         if s >= 2:
             assert q_set(lam, s) == q
+
+
+@pytest.mark.parametrize("s", [1, 2, 7, 13, 24, 29, 30])
+def test_runner_counts_are_exact_at_every_plane_width(s):
+    """Largest parts just below and just above each 2^(8k), so that the byte
+    passes read every count of planes from 1 to 8, with every byte of a
+    plane up to 255.  They are compared with the per-row count directly
+    wherever they are exact (s <= 29, where 9(s - 1) < 256), and
+    _packed_first_gaps on both sides of its switch to the loop above that
+    bound, on partitions whose first row sets the width."""
+    rng = random.Random(f"planes-{s}")
+    for k in range(1, 9):
+        for top in (2 ** (8 * k) - 1, 2 ** (8 * k)):
+            if top >= 2**64:  # beyond the 8-byte packing; no partition has such a row
+                continue
+            width = (top.bit_length() + 7) // 8
+            for n in (256, 1000):
+                # a quarter of the rows at the top, where every plane's bytes are largest
+                parts = [top] * (n // 4) + [rng.randint(1, top) for _ in range(n - n // 4)]
+                parts = tuple(sorted(parts, reverse=True))
+                if s <= 29:
+                    assert _runner_counts_by_bytes(parts, s) == _runner_counts_by_rows(parts, s), (s, width, n)
+                if top <= MAX_SIZE // 2:
+                    rest = sorted((rng.randint(1, min(top, MAX_SIZE // (2 * n))) for _ in range(n - 1)), reverse=True)
+                    p = Partition((top, *rest))
+                    assert _packed_first_gaps(p, s) == _first_gaps_by_rows(p, s), (s, width, n)
+            assert width == k + (top == 2 ** (8 * k))
+
+
+def test_byte_sums_would_carry_beyond_the_bound():
+    """At s = 31 a first row whose eight planes each read 30 mod s, with the
+    shift -1 mod s = 30, sums to 270 and carries into the next row's byte:
+    the byte passes miscount it, and _packed_first_gaps, which takes the
+    loop above s = 29, does not."""
+    s = 31
+    part = sum((30 * pow(256, -k, s) % s) << (8 * k) for k in range(8))
+    p = Partition((part,) + (1,) * 299)
+    assert _runner_counts_by_bytes(p.parts, s) != _runner_counts_by_rows(p.parts, s)
+    assert _packed_first_gaps(p, s) == _first_gaps_by_rows(p, s)
 
 
 @given(partition_parts, st.integers(2, 6))

@@ -121,6 +121,9 @@ BOUNDARY_CASES = {
     # breaks the removal or reads as row 1
     "remove_rim_hook_float_box": lambda: remove_rim_hook(Partition((1,)), RimHook((Box(1.0, 1.0),))),
     "remove_rim_hook_bool_box": lambda: remove_rim_hook(Partition((1,)), RimHook((Box(True, True),))),
+    # a box that is not a Box: a list cannot be looked up among the partition's boxes
+    "remove_rim_hook_list_box": lambda: remove_rim_hook(Partition((2,)), RimHook(([1, 1],))),
+    "remove_rim_hook_list_box_after_a_box": lambda: remove_rim_hook(Partition((2,)), RimHook((Box(1, 2), [1, 1]))),
 }
 
 

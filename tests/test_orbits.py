@@ -9,7 +9,7 @@ from itertools import combinations
 import pytest
 
 from conftest import brute_st_cores, st_cores_by_difference_scan
-from stcores import DomainError, errors
+from stcores import DomainError, errors, orbits
 from stcores.errors import count_bits_below
 from stcores.abacus import (
     _partition_from_first_gaps,
@@ -236,22 +236,49 @@ def test_descent_matches_the_cycle_scan():
     assert min(sizes) == 0 and 10**6 < sorted(sizes)[-2] < 3 * 10**7 and sizes[-1] > 8 * 10**9
 
 
+def _c_form(q, t):
+    """c_j = jt - cycle[j], the sequence the descent sorts."""
+    return [j * t - a for j, a in enumerate(_cycle(q, t))]
+
+
 def _inversions(q, t):
     """Inversions of C[j + ks] = c_j + kst with c_j = jt - cycle[j]: pairs
     n < m, n in 0..s-1, with C[n] > C[m]."""
     s = q.s
-    cycle = _cycle(q, t)
-    c = [j * t - a for j, a in enumerate(cycle)]
+    c = _c_form(q, t)
     # for each i and j, the k >= [j <= i] with c_j + kst < c_i
     return sum(max(0, -((c[j] - c[i]) // (s * t)) - (j <= i)) for i in range(s) for j in range(s))
 
 
 def test_descent_length_is_the_inversion_count():
     """Each step removes one inversion of the affine sequence and the end is
-    sorted, so the greedy word is reduced and its length has a closed form."""
+    sorted, so the greedy word is reduced and its length has a closed form,
+    which the descent counts in O(s log s) before its first step.  Each step
+    takes at least t boxes, so the length is at most |lambda|/t."""
     for q, t in _seeded_descents("descent-length"):
         _, trace = descend_to_t_core(core_from_s_set(q), q.s, t)
-        assert len(trace) == _inversions(q, t), (q, t)
+        assert len(trace) == _inversions(q, t) == orbits._descent_length(_c_form(q, t), q.s * t), (q, t)
+        assert size_from_s_set(q) // t >= len(trace), (q, t)
+
+
+def test_descent_length_is_counted_exactly_at_large_s():
+    """The O(s log s) count against the O(s^2) inversion sum on seeded s-sets
+    up to s = 1000, far and near their t-cores, and against the descent
+    itself where it is short enough to run."""
+    rng = random.Random("descent-length-large")
+    ran = 0
+    for s in (16, 31, 64, 101, 256, 499, 1000):
+        for t in (1, s - 1, s + 1, 2 * s + 1)[: 4 if s < 256 else 2]:
+            for spread in (0, 1, 3, 30, 3000) if s < 499 else (3, 3000):
+                q = make_sset(s, random_s_point(rng, s, spread).coords)
+                length = _inversions(q, t)
+                assert orbits._descent_length(_c_form(q, t), s * t) == length, (s, t, spread)
+                assert size_from_s_set(q) // t >= length, (s, t, spread)
+                if length <= 20000 and size_from_s_set(q) <= 10**8:
+                    _, trace = descend_to_t_core(core_from_s_set(q), s, t)
+                    assert len(trace) == length, (s, t, spread)
+                    ran += 1
+    assert ran >= 40, ran
 
 
 def test_descent_trace_keeps_no_s_sets():
@@ -273,17 +300,36 @@ def test_descent_trace_keeps_no_s_sets():
 
 def test_descent_is_refused_once_its_steps_pass_the_cap(monkeypatch):
     """A step is one unit of work: a descent of n steps runs under a cap of n,
-    and under a lower cap it stops at the first step past it."""
+    and under a lower cap it is refused before its first step, by its exact
+    length, also where the bound |lambda|/t is within a factor 2 of n.  Under
+    a cap of at least |lambda|/t the length is never counted."""
     s, t = 7, 9
     lam = core_from_s_set(make_sset(s, random_s_point(random.Random("descent-cap"), s, 200).coords))
     nu, trace = descend_to_t_core(lam, s, t)
     n = len(trace)
-    assert n > 100
+    assert 100 < n < size(lam) // t
     monkeypatch.setattr(errors, "MAX_SCAN", n)
     assert descend_to_t_core(lam, s, t) == (nu, trace)
-    monkeypatch.setattr(errors, "MAX_SCAN", n // 2)
-    with pytest.raises(DomainError, match=f"^descent of {n // 2 + 1} units of work exceeds the cap of {n // 2}$"):
-        descend_to_t_core(lam, s, t)
+    monkeypatch.setattr(errors, "MAX_SCAN", size(lam) // t)
+    with monkeypatch.context() as m:
+        m.setattr(orbits, "_descent_length", lambda c, st: pytest.fail("counted under the cap"))
+        assert descend_to_t_core(lam, s, t) == (nu, trace)
+    monkeypatch.setattr(orbits, "_sort_descent", lambda c, st: pytest.fail("a step ran"))
+    for cap in (n - 1, n // 2, 0):
+        monkeypatch.setattr(errors, "MAX_SCAN", cap)
+        with pytest.raises(DomainError, match=f"^descent of {n} units of work exceeds the cap of {cap}$"):
+            descend_to_t_core(lam, s, t)
+    # on some seeded descents every step takes exactly t boxes, so the bound
+    # |lambda|/t is the length itself and the cap one step below it is refused
+    tight = 0
+    for q, t in _seeded_descents("descent-cap"):
+        n = _inversions(q, t)
+        if n and size_from_s_set(q) // t < 2 * n:
+            monkeypatch.setattr(errors, "MAX_SCAN", n - 1)
+            with pytest.raises(DomainError, match=f"^descent of {n} units of work exceeds the cap of {n - 1}$"):
+                descend_to_t_core(core_from_s_set(q), q.s, t)
+            tight += size_from_s_set(q) // t == n
+    assert tight >= 10, tight
 
 
 def test_same_level_t_orbit_examples():
@@ -830,8 +876,6 @@ def test_chain_cores_equal_rebuilt_cores_at_every_step():
 def test_chain_raises_on_a_shrinking_step(monkeypatch):
     """With the walk aimed at the origin instead of the tip, its steps shrink the
     core, which Lemma 5.3 rules out for a walk to the tip; the walk raises."""
-    from stcores import orbits
-
     monkeypatch.setattr(orbits, "tip", lambda s, t: origin(s))
     with pytest.raises(RuntimeError, match="Lemma 5.3"):
         containment_chain(tip(3, 4), 3, 4)
