@@ -12,44 +12,40 @@ there is no reduced-word machinery here.
 from __future__ import annotations
 
 from .abacus import SSet, core_from_s_set, q_set
-from .alcoves import Hyperplane, SPoint, _moved_point, reflect
-from .errors import DomainError, _read_ints, _trusted, check_coords, check_int, check_pair, check_scan
+from .alcoves import SPoint, _moved_point
+from .errors import MAX_COORD, DomainError, _read_ints, _trusted, check_coords, check_int, check_pair, check_scan
 from .partitions import Partition
 
-Word = tuple[int, ...]
+
+def _psi_move(i: int, t: int, coords: tuple[int, ...], s: int) -> tuple[int, ...]:
+    """psi_gen's move on an s-point's coordinates, unchecked; for i = 0, c[i - 1] is the last."""
+    c = list(coords)
+    c[i - 1], c[i] = (c[i], c[i - 1]) if i else (c[0] + s * t, c[-1] - s * t)
+    return tuple(c)
 
 
 def psi_gen(i: int, t: int, p: SPoint) -> SPoint:
-    """Generator of the level-t reflection action: the reflection in the i-th wall of
-    the fundamental alcove.  For 1 <= i < s that is H_{i,i+1}^0, which swaps the i-th
-    and (i+1)-th coordinates; for i = 0 it is the affine wall pushed out to level t,
-    H_{1,s}^t, which maps (p_1,...,p_s) to (p_s - st, p_2, ..., p_{s-1}, p_1 + st)."""
+    """Generator i of psi_t, the reflection in the i-th wall of the fundamental alcove: H_{i,i+1}^0
+    swaps p_i and p_{i+1} (i >= 1), and H_{1,s}^t sends p_1, p_s to p_s - st, p_1 + st (i = 0)."""
     check_int(i, "generator index", 0, p.s - 1)
     check_int(t, "t", 1)
-    return reflect(p, Hyperplane(i, i + 1, 0) if i else Hyperplane(1, p.s, t))
+    return _moved_point(_psi_move(i, t, p.coords, p.s))
 
 
-def _t_cycle(elements, s: int, t: int) -> list[int]:
-    """An s-set listed along the classes 0, t, ..., (s-1)t mod s, for gcd(s, t) = 1:
-    generator i of chi_t moves t from entry i-1 to entry i, and index -1 wraps."""
-    by_res = {a % s: a for a in elements}
-    return [by_res[k * t % s] for k in range(s)]
+def _chi_move(i: int, t: int, coords: tuple[int, ...], s: int) -> tuple[int, ...]:
+    """chi_gen's move on an s-point's coordinates, unchecked."""
+    c, classes = list(coords), [x % s for x in coords]
+    c[classes.index((i - 1) * t % s)] += t
+    c[classes.index(i * t % s)] -= t
+    return tuple(c)
 
 
 def chi_gen(i: int, t: int, p: SPoint) -> SPoint:
     """Generator of the second level-t action: add t to the coordinate
     congruent to (i-1)t mod s and subtract t from the one congruent to it."""
-    s = p.s
-    check_int(i, "generator index", 0, s - 1)
-    check_pair(s, t)
-    r_up, r_down = (i - 1) * t % s, i * t % s
-    coords = list(p.coords)
-    for idx, c in enumerate(coords):
-        if c % s == r_up:
-            coords[idx] = c + t
-        elif c % s == r_down:
-            coords[idx] = c - t
-    return _moved_point(coords)
+    check_int(i, "generator index", 0, p.s - 1)
+    check_pair(p.s, t)
+    return _moved_point(_chi_move(i, t, p.coords, p.s))
 
 
 def chi_on_sset(i: int, t: int, q: SSet) -> SSet:
@@ -57,11 +53,9 @@ def chi_on_sset(i: int, t: int, q: SSet) -> SSet:
     s = q.s
     check_int(i, "generator index", 0, s - 1)
     check_pair(s, t)
-    cycle = _t_cycle(q.elements, s, t)
-    a, b = cycle[i - 1], cycle[i]
-    check_coords((a + t, b - t))  # a user-supplied t can push the moved pair past the bound
-    # chi_t: a + t and b - t trade residue classes (b = a + t mod s) and keep the sum
-    return _trusted(SSet, s=s, elements=(q.elements - {a, b}) | {a + t, b - t})
+    moved = _chi_move(i, t, tuple(q.elements), s)
+    check_coords(moved)  # a user-supplied t can push the moved pair past the bound
+    return _trusted(SSet, s=s, elements=frozenset(moved))  # chi_t keeps the classes distinct and the sum
 
 
 def chi_on_core(i: int, t: int, lam: Partition, s: int) -> Partition:
@@ -69,24 +63,31 @@ def chi_on_core(i: int, t: int, lam: Partition, s: int) -> Partition:
     return core_from_s_set(chi_on_sset(i, t, q_set(lam, s)))
 
 
-def apply_word(word: Word, action: str, t: int, p: SPoint) -> SPoint:
-    """Apply a word of generators left to right under psi or chi; each
-    generator moves or looks at every one of the s coordinates."""
+def apply_word(word: tuple[int, ...], action: str, t: int, p: SPoint) -> SPoint:
+    """Apply a word of generators left to right under psi or chi, priced at s per generator as
+    a conservative bound; t and each letter are checked once, the images only near the guard."""
+    s = p.s
     if action == "psi":
         check_int(t, "t", 1)
-        gen = psi_gen
+        move, step = _psi_move, s * t
     elif action == "chi":
-        check_pair(p.s, t)
-        gen = chi_gen
+        check_pair(s, t)
+        move, step = _chi_move, t
     else:
         raise DomainError(f"action must be 'psi' or 'chi', got {action!r}")
-    check_scan(len(word) * p.s, f"word of {len(word)} generators")
+    check_scan(len(word) * s, f"word of {len(word)} generators")
+    # a letter moves a coordinate by at most step: check the images only if n steps may pass the guard
+    guarded = max(map(abs, p.coords)) + len(word) * step > MAX_COORD
+    coords = p.coords
     for i in word:
-        p = gen(i, t, p)
-    return p
+        check_int(i, "generator index", 0, s - 1)
+        coords = move(i, t, coords, s)
+        if guarded:
+            check_coords(coords)
+    return _trusted(SPoint, coords=coords)  # each move keeps the classes distinct and the sum
 
 
-def parse_word(text: str) -> Word:
+def parse_word(text: str) -> tuple[int, ...]:
     """Space-separated generator indices, e.g. '0 2 1 0'."""
     return tuple(_read_ints(text, "word", sep=None))
 

@@ -125,8 +125,7 @@ def _cmd_orbit_min(args) -> int:
     # a step prints its s elements and rebuilds its core across the s-set's
     # span: bound the steps, then the replayed spans, before the first byte
     check_scan(len(trace) * args.s, "descent printout")
-    check_scan(sum(args.s + max(q.elements) - min(q.elements) for _, q in trace.iter_steps()),
-               "descent printout")
+    check_scan(sum(args.s + max(c) - min(c) for _, _, c in trace._replay()), "descent printout")
     steps = ((i, q, abacus.core_from_s_set(q)) for i, q in trace.iter_steps())
     _emit_steps(args, {"partition": args.partition}, "t_core", parts.to_text(nu), steps, args.s, args.t)
     return 0
@@ -212,24 +211,18 @@ def _build_parser() -> _Parser:
     p.add_argument("--word", default="", help="space-separated generator indices")
     p.add_argument("point", help="e.g. '(0,1,2)'")
 
-    for name, func, help_text in [
-        ("kappa", _cmd_kappa, "the largest (s,t)-core"),
-        ("count", _cmd_count, "number of (s,t)-cores"),
-        ("enumerate", _cmd_enumerate, "all (s,t)-cores, one per line"),
+    for name, func, help_text, positional in [
+        ("kappa", _cmd_kappa, "the largest (s,t)-core", None),
+        ("count", _cmd_count, "number of (s,t)-cores", None),
+        ("enumerate", _cmd_enumerate, "all (s,t)-cores, one per line", None),
+        ("orbit-min", _cmd_orbit_min, "descend an s-core to its t-core", "partition"),
+        ("chain", _cmd_chain, "containment chain from a rhomboid point to the tip", "point"),
     ]:
         p = add(name, func, help=help_text)
         p.add_argument("--s", type=int, required=True)
         p.add_argument("--t", type=int, required=True)
-
-    p = add("orbit-min", _cmd_orbit_min, help="descend an s-core to its t-core")
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("partition")
-
-    p = add("chain", _cmd_chain, help="containment chain from a rhomboid point to the tip")
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("point")
+        if positional:
+            p.add_argument(positional)
 
     p = add("verify", _cmd_verify, help="run invariant suites")
     p.add_argument("--suite", choices=[*_SUITES, "all"], default="all")

@@ -28,7 +28,6 @@ from itertools import combinations
 
 from .abacus import SSet, _partition_from_first_gaps, core_from_s_set, q_set, size_from_s_set
 from .alcoves import SPoint, _check_rhomboid, fold_to_dominant, in_rhomboid, tip
-from .affine_actions import _t_cycle
 from . import errors
 from .errors import DomainError, _Value, _set, _trusted, check_coords, check_count_bits, check_int, check_pair
 from .errors import check_scan, count_bits_below
@@ -42,6 +41,13 @@ def residue_multiset(q: SSet, t: int) -> tuple[int, ...]:
     for a in q.elements:
         counts[a % t] += 1
     return tuple(counts)
+
+
+def _t_cycle(elements, s: int, t: int) -> list[int]:
+    """An s-set listed along the classes 0, t, ..., (s-1)t mod s, for gcd(s, t) = 1:
+    generator i of chi_t moves t from entry i-1 to entry i, and index -1 wraps."""
+    by_res = {a % s: a for a in elements}
+    return [by_res[k * t % s] for k in range(s)]
 
 
 class OrbitDescentTrace(_Value):

@@ -13,20 +13,28 @@ from itertools import islice
 from collections.abc import Callable
 
 from . import abacus, affine_actions as act, orbits, partitions as parts
-from .abacus import core_from_s_set, q_set, size_from_s_set
+from .abacus import SSet, core_from_s_set, size_from_s_set
 from .alcoves import SPoint, alcove_key, origin, rhomboid_points, separating_hyperplanes
-from .errors import DomainError, check_scan
+from .errors import DomainError, _trusted, check_scan
 from .partitions import Partition
 
 Check = tuple[str, bool, str]
 
 
 def random_s_core(rng: random.Random, s: int, max_size: int) -> Partition:
-    """A random s-core of size at most max_size (walk on s-sets, retry if big)."""
+    """A random s-core of size at most max_size (walk on s-sets, retry if big).
+
+    The walk applies chi_1 generators to the s-set of the empty partition,
+    listed by class (its t = 1 cycle): generator i moves 1 from entry i-1 to
+    entry i, and index -1 wraps."""
     while True:
-        q = q_set(Partition(), s)
+        cycle = list(range(s))
         for _ in range(rng.randrange(41)):
-            q = act.chi_on_sset(rng.randrange(s), 1, q)
+            i = rng.randrange(s)
+            a, b = cycle[i - 1], cycle[i]
+            cycle[i - 1], cycle[i] = b - 1, a + 1
+        # each chi_1 move keeps the classes distinct and the sum
+        q = _trusted(SSet, s=s, elements=frozenset(cycle))
         if size_from_s_set(q) <= max_size:
             return core_from_s_set(q)
 
@@ -107,7 +115,9 @@ def suite_core_oracle(s_max: int, t_max: int, seed: int, trials: int) -> list[Ch
     ]
 
 
-def _relation_failures(gen: Callable[[int, SPoint], SPoint], s: int, p: SPoint) -> bool:
+def _relation_failures(gen: Callable, s: int, p) -> bool:
+    """Whether gen(i, point), i in 0..s-1, breaks a Coxeter relation of the affine
+    symmetric group at p: gen may act on s-points or on their coordinate tuples."""
     # generators are pure, so each single image is computed once and shared
     once = [gen(i, p) for i in range(s)]
     for i in range(s):
@@ -137,9 +147,10 @@ def suite_actions(s_max: int, t_max: int, seed: int, trials: int) -> list[Check]
             for _ in range(max(1, trials // 10)):
                 p = random_s_point(rng, s)
                 n_points += 1
-                if _relation_failures(lambda i, q: act.psi_gen(i, t, q), s, p):
+                # a coprime pair and a checked point: the relations run on the unchecked moves
+                if _relation_failures(lambda i, c: act._psi_move(i, t, c, s), s, p.coords):
                     psi_bad.append((s, t, p))
-                if _relation_failures(lambda i, q: act.chi_gen(i, t, q), s, p):
+                if _relation_failures(lambda i, c: act._chi_move(i, t, c, s), s, p.coords):
                     chi_bad.append((s, t, p))
                 a = rng.randrange(s)
                 b = rng.randrange(s)
@@ -260,8 +271,9 @@ def _work_core_oracle(s_max: int, t_max: int, trials: int):
 
 
 def _work_actions(s_max: int, t_max: int, trials: int):
-    # per random point the relation checks apply about 4s^2 generators, each
-    # moving s coordinates at the cost of about 32 moves for the call itself
+    # per random point the relation checks apply about 4s^2 moves of s coordinates
+    # each; the 32 per move is a conservative allowance for the call, kept as it
+    # was so that the same maxima are refused
     for s in range(2, s_max + 1):
         yield len(_coprime_ts(s, t_max)) * max(1, trials // 10) * 4 * s * s * (s + 32)
 

@@ -1,11 +1,14 @@
 import math
 import random
+import re
 
 import pytest
 
 from stcores import DomainError
 from stcores.abacus import core, make_sset, q_set
 from stcores.affine_actions import (
+    _chi_move,
+    _psi_move,
     alpha,
     apply_word,
     chi_gen,
@@ -14,7 +17,7 @@ from stcores.affine_actions import (
     parse_word,
     psi_gen,
 )
-from stcores.alcoves import alcove_key, origin, separating_hyperplanes, sset_of_point
+from stcores.alcoves import Hyperplane, alcove_key, origin, reflect, separating_hyperplanes, sset_of_point
 from stcores.partitions import Partition, is_s_core_by_hooks, partitions_up_to, toggle_residue
 from stcores.verify import random_s_core, random_s_point
 
@@ -72,6 +75,73 @@ def test_apply_word_examples():
     assert parse_word("") == ()
     with pytest.raises(DomainError):
         parse_word("0 x")
+
+
+def _move_cases(seed):
+    """(s, t, point) for s = 2..12 and every t <= 3s coprime to s, two seeded points each."""
+    rng = random.Random(seed)
+    for s in range(2, 13):
+        for t in range(1, 3 * s + 1):
+            if math.gcd(s, t) == 1:
+                for _ in range(2):
+                    yield s, t, random_s_point(rng, s, spread=3 * s)
+
+
+def _chi_by_class_scan(i, t, coords, s):
+    """chi_t's generator i as its definition reads: scan the coordinates, add t to
+    the one congruent to (i-1)t mod s and subtract t from the one congruent to it."""
+    out = []
+    for c in coords:
+        if c % s == (i - 1) * t % s:
+            c += t
+        elif c % s == i * t % s:
+            c -= t
+        out.append(c)
+    return tuple(out)
+
+
+def test_psi_move_is_the_reflection_in_the_wall():
+    for s, t, p in _move_cases(10):
+        for i in range(s):
+            wall = Hyperplane(i, i + 1, 0) if i else Hyperplane(1, s, t)
+            assert _psi_move(i, t, p.coords, s) == reflect(p, wall).coords, (s, t, i, p)
+
+
+def test_chi_move_is_the_class_scan():
+    for s, t, p in _move_cases(11):
+        for i in range(s):
+            assert _chi_move(i, t, p.coords, s) == _chi_by_class_scan(i, t, p.coords, s), (s, t, i, p)
+
+
+@pytest.mark.parametrize("action, gen", [("psi", psi_gen), ("chi", chi_gen)])
+def test_apply_word_is_a_left_fold_of_the_generators(action, gen):
+    rng = random.Random(12)
+    for s, t, p in _move_cases(13):
+        word = tuple(rng.randrange(s) for _ in range(rng.randint(0, 200)))
+        expected = p
+        for i in word:
+            expected = gen(i, t, expected)
+        assert apply_word(word, action, t, p) == expected, (s, t, word, p)
+
+
+@pytest.mark.parametrize(
+    "word, action, t, text",
+    [
+        # a bad last letter, with the coordinates' bound under the guard and over it
+        ((0, 1, 2, 3), "psi", 4, "need generator index <= 2, got 3"),
+        ((0, 1, 2, 3), "psi", 2**60, "need generator index <= 2, got 3"),
+        ((0, 1, 2, 1, 3), "chi", 4, "need generator index <= 2, got 3"),
+        ((0, 1.0), "chi", 4, "generator index must be an integer, got 1.0"),
+        # bounds over the guard: the letter that passes it is refused, not any before
+        ((0, 1, 2, 0), "psi", 2**60, "coordinate overflow beyond the 63-bit guard"),
+        ((0, 1, 2, 0), "chi", 2**60, "coordinate overflow beyond the 63-bit guard"),
+        ((0, 1, 2, 0, 5), "psi", 2**60, "coordinate overflow beyond the 63-bit guard"),
+        ((0, 1, 2, 5, 0), "psi", 2**60, "need generator index <= 2, got 5"),
+    ],
+)
+def test_apply_word_refuses_as_the_generators_do(word, action, t, text):
+    with pytest.raises(DomainError, match=f"^{re.escape(text)}$"):
+        apply_word(word, action, t, origin(3))
 
 
 def test_braid_relation_instances():
@@ -187,3 +257,26 @@ def test_chi_preserves_residue_multisets_by_construction():
         q = q_set(lam, s)
         i = rng.randrange(s)
         assert residue_multiset(chi_on_sset(i, t, q), t) == residue_multiset(q, t)
+
+
+def _random_s_core_by_chi_on_sset(rng, s, max_size):
+    """The walk random_s_core takes, through the checked chi_on_sset: chi_1
+    generators from the s-set of the empty partition, retried if too big."""
+    from stcores.abacus import core_from_s_set, size_from_s_set
+
+    while True:
+        q = q_set(Partition(), s)
+        for _ in range(rng.randrange(41)):
+            q = chi_on_sset(rng.randrange(s), 1, q)
+        if size_from_s_set(q) <= max_size:
+            return core_from_s_set(q)
+
+
+@pytest.mark.parametrize("max_size", [60, 200])
+def test_random_s_core_draws_the_chi_on_sset_walk(max_size):
+    """verify's inputs and the corpus of the tests that draw from it stay as they were."""
+    for seed in range(100):
+        for s in range(2, 10):
+            fast, slow = random.Random(seed), random.Random(seed)
+            assert random_s_core(fast, s, max_size) == _random_s_core_by_chi_on_sset(slow, s, max_size)
+            assert fast.random() == slow.random(), (seed, s)  # the same draws were taken

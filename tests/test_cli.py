@@ -286,20 +286,24 @@ def test_core_oracle_catches_one_lying_s_core_test(capsys, monkeypatch):
 
 
 def test_actions_catch_a_generator_that_is_not_an_involution(capsys, monkeypatch):
+    """The chi_t move, which the relation rows run and chi_gen wraps, made wrong."""
     from stcores import affine_actions
 
-    real = affine_actions.chi_gen
+    real = affine_actions._chi_move
 
-    def broken(i, t, p):
-        image = real(i, t, p)
+    def broken(i, t, coords, s):
+        image = real(i, t, coords, s)
         # at s = 4, generator 1 also applies generator 2: twice it is no longer the identity
-        return real(2, t, image) if (i, p.s) == (1, 4) else image
+        return real(2, t, image, s) if (i, s) == (1, 4) else image
 
-    monkeypatch.setattr(affine_actions, "chi_gen", broken)
+    monkeypatch.setattr(affine_actions, "_chi_move", broken)
     code, rows = _verify_rows(capsys, "--suite", "actions")
     assert code == 3
     assert rows["actions.relations-chi"] == "FAIL"
     assert rows["actions.relations-psi"] == "PASS"
+    # chi_gen wraps the move, so the rows on the public generator see it too
+    failed = [name for name, row in rows.items() if row == "FAIL"]
+    assert failed == ["actions.relations-chi", "actions.level1-agreement", "actions.adjacency"]
 
 
 def _beta_round_trip_loses_a_box(monkeypatch):
@@ -312,25 +316,26 @@ def _beta_round_trip_loses_a_box(monkeypatch):
 
 
 def _psi_wrong_at_4_3(monkeypatch, wrong):
-    """psi_t, with psi_gen(i, t, p) replaced by wrong(psi_gen, i, t, p) at s = 4,
-    t = 3 alone, so the level-1 agreement check does not see it; the witness
+    """The psi_t move, which the relation rows run and psi_gen wraps, with move i
+    on coordinates c replaced by wrong(g, i, c) at s = 4, t = 3 alone, where g(i, c)
+    is the true move, so the level-1 agreement check does not see it; the witness
     expected is the first point seen there, the suite's first draw at (4, 3).
     Every image is a product of true psi_t generators, which commute with
     chi_t, so only the relation check can see the change."""
     from stcores import affine_actions
 
-    real = affine_actions.psi_gen
+    real = affine_actions._psi_move
     seen = []
 
-    def broken(i, t, p):
-        if (p.s, t) != (4, 3):
-            return real(i, t, p)
+    def broken(i, t, coords, s):
+        if (s, t) != (4, 3):
+            return real(i, t, coords, s)
         if not seen:
-            seen.append(p)
-        return wrong(real, i, t, p)
+            seen.append(coords)
+        return wrong(lambda j, c: real(j, t, c, s), i, coords)
 
-    monkeypatch.setattr(affine_actions, "psi_gen", broken)
-    return lambda: re.escape(f"(s, t, point) = (4, 3, {seen[0]})")
+    monkeypatch.setattr(affine_actions, "_psi_move", broken)
+    return lambda: re.escape(f"(s, t, point) = (4, 3, {alcoves.SPoint(seen[0])})")
 
 
 def _psi_is_chi_at_4_3(monkeypatch):
@@ -426,13 +431,13 @@ def _containment_misses_the_empty_core(monkeypatch):
         ("core-oracle", "core-oracle.beta-round-trip", _beta_round_trip_loses_a_box),
         # generator 1 then 2: not an involution
         ("actions", "actions.relations-psi",
-         lambda mp: _psi_wrong_at_4_3(mp, lambda g, i, t, p: g(2, t, g(1, t, p)) if i == 1 else g(i, t, p))),
+         lambda mp: _psi_wrong_at_4_3(mp, lambda g, i, c: g(2, g(1, c)) if i == 1 else g(i, c))),
         # generator 2 is generator 1: 0 and 2 no longer commute
         ("actions", "actions.relations-psi",
-         lambda mp: _psi_wrong_at_4_3(mp, lambda g, i, t, p: g(1 if i == 2 else i, t, p))),
+         lambda mp: _psi_wrong_at_4_3(mp, lambda g, i, c: g(1 if i == 2 else i, c))),
         # generator 1 is generator 2: 0 and 1 no longer satisfy the braid relation
         ("actions", "actions.relations-psi",
-         lambda mp: _psi_wrong_at_4_3(mp, lambda g, i, t, p: g(2 if i == 1 else i, t, p))),
+         lambda mp: _psi_wrong_at_4_3(mp, lambda g, i, c: g(2 if i == 1 else i, c))),
         ("actions", "actions.commutation", _psi_is_chi_at_4_3),
         ("olsson", "olsson.t-core-is-s-core", _t_core_test_lies_once),
         ("olsson", "olsson.descent-matches-abacus", _descent_ends_a_box_long_once),
