@@ -674,6 +674,22 @@ def test_oversize_walks_and_diagrams_are_refused_up_front(capsys, argv):
     assert len(err.splitlines()) == 1
 
 
+def test_orbit_min_refusal_names_the_summed_spans(capsys):
+    """The 4,500-row staircase at (2, 1): 4,500 steps pass the first bound, and the
+    refusal names the sum of s plus each step's span, replayed here by chi_on_sset."""
+    from stcores.affine_actions import chi_on_sset
+
+    staircase = ",".join(map(str, range(4500, 0, -1)))
+    _, trace = orbits.descend_to_t_core(parts.from_text(staircase), 2, 1)
+    q, total = trace.initial_sset, 0
+    for i in trace.gens:
+        q = chi_on_sset(i, 1, q)
+        total += 2 + max(q.elements) - min(q.elements)
+    code, out, err = run_cli(capsys, "orbit-min", "--s", "2", "--t", "1", staircase)
+    assert (code, out) == (2, "")
+    assert err == f"stcores: descent printout of {total} units of work exceeds the cap of 10000000\n"
+
+
 def test_orbit_min_under_its_cap_prints_every_step(capsys):
     """(1000) descends at (1001, 2) in 500 steps, 1.5e6 units of printing: admitted."""
     previous = signal.signal(signal.SIGALRM, _on_alarm)
