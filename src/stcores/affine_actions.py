@@ -13,8 +13,10 @@ from __future__ import annotations
 
 from .abacus import SSet, core_from_s_set, q_set
 from .alcoves import SPoint, _moved_point
-from .errors import MAX_COORD, DomainError, _read_ints, _trusted, check_coords, check_int, check_pair, check_scan
+from .errors import DomainError, _read_ints, _trusted, check_coords, check_int, check_pair, check_scan
 from .partitions import Partition
+
+Word = tuple[int, ...]
 
 
 def _psi_move(i: int, t: int, coords: tuple[int, ...], s: int) -> tuple[int, ...]:
@@ -63,31 +65,28 @@ def chi_on_core(i: int, t: int, lam: Partition, s: int) -> Partition:
     return core_from_s_set(chi_on_sset(i, t, q_set(lam, s)))
 
 
-def apply_word(word: tuple[int, ...], action: str, t: int, p: SPoint) -> SPoint:
+def apply_word(word: Word, action: str, t: int, p: SPoint) -> SPoint:
     """Apply a word of generators left to right under psi or chi, priced at s per generator as
-    a conservative bound; t and each letter are checked once, the images only near the guard."""
+    a conservative bound; t is checked once, and each letter and its image at that letter."""
     s = p.s
     if action == "psi":
         check_int(t, "t", 1)
-        move, step = _psi_move, s * t
+        move = _psi_move
     elif action == "chi":
         check_pair(s, t)
-        move, step = _chi_move, t
+        move = _chi_move
     else:
         raise DomainError(f"action must be 'psi' or 'chi', got {action!r}")
     check_scan(len(word) * s, f"word of {len(word)} generators")
-    # a letter moves a coordinate by at most step: check the images only if n steps may pass the guard
-    guarded = max(map(abs, p.coords)) + len(word) * step > MAX_COORD
     coords = p.coords
     for i in word:
         check_int(i, "generator index", 0, s - 1)
         coords = move(i, t, coords, s)
-        if guarded:
-            check_coords(coords)
+        check_coords(coords)
     return _trusted(SPoint, coords=coords)  # each move keeps the classes distinct and the sum
 
 
-def parse_word(text: str) -> tuple[int, ...]:
+def parse_word(text: str) -> Word:
     """Space-separated generator indices, e.g. '0 2 1 0'."""
     return tuple(_read_ints(text, "word", sep=None))
 

@@ -211,18 +211,24 @@ def _build_parser() -> _Parser:
     p.add_argument("--word", default="", help="space-separated generator indices")
     p.add_argument("point", help="e.g. '(0,1,2)'")
 
-    for name, func, help_text, positional in [
-        ("kappa", _cmd_kappa, "the largest (s,t)-core", None),
-        ("count", _cmd_count, "number of (s,t)-cores", None),
-        ("enumerate", _cmd_enumerate, "all (s,t)-cores, one per line", None),
-        ("orbit-min", _cmd_orbit_min, "descend an s-core to its t-core", "partition"),
-        ("chain", _cmd_chain, "containment chain from a rhomboid point to the tip", "point"),
+    for name, func, help_text in [
+        ("kappa", _cmd_kappa, "the largest (s,t)-core"),
+        ("count", _cmd_count, "number of (s,t)-cores"),
+        ("enumerate", _cmd_enumerate, "all (s,t)-cores, one per line"),
     ]:
         p = add(name, func, help=help_text)
         p.add_argument("--s", type=int, required=True)
         p.add_argument("--t", type=int, required=True)
-        if positional:
-            p.add_argument(positional)
+
+    p = add("orbit-min", _cmd_orbit_min, help="descend an s-core to its t-core")
+    p.add_argument("--s", type=int, required=True)
+    p.add_argument("--t", type=int, required=True)
+    p.add_argument("partition")
+
+    p = add("chain", _cmd_chain, help="containment chain from a rhomboid point to the tip")
+    p.add_argument("--s", type=int, required=True)
+    p.add_argument("--t", type=int, required=True)
+    p.add_argument("point")
 
     p = add("verify", _cmd_verify, help="run invariant suites")
     p.add_argument("--suite", choices=[*_SUITES, "all"], default="all")

@@ -24,17 +24,13 @@ Check = tuple[str, bool, str]
 def random_s_core(rng: random.Random, s: int, max_size: int) -> Partition:
     """A random s-core of size at most max_size (walk on s-sets, retry if big).
 
-    The walk applies chi_1 generators to the s-set of the empty partition,
-    listed by class (its t = 1 cycle): generator i moves 1 from entry i-1 to
-    entry i, and index -1 wraps."""
+    The walk applies chi_1 generators to the s-set of the empty partition."""
     while True:
-        cycle = list(range(s))
+        coords = tuple(range(s))
         for _ in range(rng.randrange(41)):
-            i = rng.randrange(s)
-            a, b = cycle[i - 1], cycle[i]
-            cycle[i - 1], cycle[i] = b - 1, a + 1
+            coords = act._chi_move(rng.randrange(s), 1, coords, s)
         # each chi_1 move keeps the classes distinct and the sum
-        q = _trusted(SSet, s=s, elements=frozenset(cycle))
+        q = _trusted(SSet, s=s, elements=frozenset(coords))
         if size_from_s_set(q) <= max_size:
             return core_from_s_set(q)
 

@@ -127,12 +127,12 @@ def test_apply_word_is_a_left_fold_of_the_generators(action, gen):
 @pytest.mark.parametrize(
     "word, action, t, text",
     [
-        # a bad last letter, with the coordinates' bound under the guard and over it
+        # a bad last letter, at a small t and at one whose images near the guard
         ((0, 1, 2, 3), "psi", 4, "need generator index <= 2, got 3"),
         ((0, 1, 2, 3), "psi", 2**60, "need generator index <= 2, got 3"),
         ((0, 1, 2, 1, 3), "chi", 4, "need generator index <= 2, got 3"),
         ((0, 1.0), "chi", 4, "generator index must be an integer, got 1.0"),
-        # bounds over the guard: the letter that passes it is refused, not any before
+        # the letter whose image passes the guard is refused, not any before it
         ((0, 1, 2, 0), "psi", 2**60, "coordinate overflow beyond the 63-bit guard"),
         ((0, 1, 2, 0), "chi", 2**60, "coordinate overflow beyond the 63-bit guard"),
         ((0, 1, 2, 0, 5), "psi", 2**60, "coordinate overflow beyond the 63-bit guard"),
