@@ -10,25 +10,24 @@ regular tail -(n+1), -(n+2), ...  Core extraction repacks each runner by
 bead counting instead of simulating single slides; the two agree because
 sliding preserves per-runner bead counts above any fixed floor.
 
-``q_set``, ``core`` and ``is_s_core`` all read every row once, to count the
-beads on each runner.  From 256 rows up and for s <= 29 the count is a few
-C-level passes over byte planes: the parts are packed once as 8-byte
-integers, plane k (byte k of every part) is read mod s by ``translate``
-through the table b -> b * 256^k mod s, and the planes and the bytes
--i mod s are added as big ints (each byte sum is at most 9(s - 1) < 256, so
-none carries), folded mod s by ``translate`` and counted by s
-``bytes.count`` calls.  On fewer rows a plain loop over the rows is
-cheaper, and on larger s the byte sums could carry, so the loop is used
-there instead; the choice depends on n and s alone.
+``q_set`` and ``is_s_core`` read an s-core by the top bead of each runner
+(``_top_bead_gaps``); ``core`` counts the beads on each runner, because the
+core of a non-core is packed from the counts.  Both ``core`` and
+``is_s_core`` return at once when no hook reaches s.  From 256 rows up and
+for s <= 29 the rows are read in C-level passes over byte planes, one runner
+byte per row (``_runner_bytes``): a runner's top row is one ``find`` on
+those bytes and its count one ``bytes.count``.  On fewer rows a plain loop
+over the rows is cheaper, and on larger s the byte sums could carry, so the
+loop is used there instead; the choice depends on n and s alone.
 """
 
 from __future__ import annotations
 
 import sys
 from functools import cache
-from operator import add
+from operator import add, sub
 
-from .errors import DomainError, _Value, _read_ints, _set, _trusted, check_int, check_s_set, check_span
+from .errors import DomainError, _Value, _set, _trusted, check_int, check_s_set, check_span
 from .partitions import Partition
 
 
@@ -80,10 +79,6 @@ def sset_to_text(q: SSet) -> str:
     return "[" + ",".join(str(a) for a in q.sorted_elements()) + "]"
 
 
-def sset_from_text(text: str, s: int) -> SSet:
-    return make_sset(s, _read_ints(text, "s-set text", "[]"))
-
-
 def beta_set(p: Partition) -> BetaSet:
     """heads = (lambda_i - i) over the positive parts."""
     return BetaSet(tuple(part - i for i, part in enumerate(p.parts, start=1)))
@@ -95,33 +90,50 @@ def partition_from_beta_set(b: BetaSet) -> Partition:
 
 
 def _packed_first_gaps(p: Partition, s: int) -> list[int]:
-    """First gap per runner after packing all beads upwards.
+    """First gap per runner after packing all beads upwards, for a checked s.
 
     On runner r the packed beads occupy every position below some boundary;
     the boundary is recovered from the bead count: (top tail position on the
-    runner) + s * (heads on the runner + 1).
-
-    Row i puts its bead lambda_i - i on runner (lambda_i mod s + (-i mod s))
-    mod s.  From 256 rows up, and for s <= 29, the runners are counted in
-    C-level byte passes instead of one Python step per row
-    (``_runner_counts_by_bytes``).  The passes cost a few microseconds to
-    set up, then per row about 5 ns to pack the parts, 1.5 ns for each byte
-    plane and 0.5-3 ns for each of the s counts, so the loop, at about
-    40-55 ns per row, stays below 256 rows, where the set-up is not repaid,
-    and above s = 29, where the byte sums of the passes could carry.
+    runner) + s * (heads on the runner + 1).  Only ``core`` needs the counts.
+    From 256 rows up, and for s <= 29, s ``bytes.count`` calls on the runner
+    bytes count them: per row, 5 ns to pack, 1.5 ns per byte plane and
+    0.5-3 ns per count, after a few microseconds of set-up; the loop: 40-55 ns.
     """
-    check_int(s, "s", 1)
-    check_span(s - 1)  # s first gaps in distinct classes span at least s - 1
     parts = p.parts
     n = len(parts)
     if n >= 256 and s <= 29:
-        counts = _runner_counts_by_bytes(parts, s)
+        counts = list(map(_runner_bytes(parts, s).count, range(s)))
     else:
         counts = [0] * s
         for i, part in enumerate(parts, start=1):
             counts[(part - i) % s] += 1
     top = -(n + 1)
     return [top - ((top - r) % s) + s * (counts[r] + 1) for r in range(s)]
+
+
+def _top_bead_gaps(p: Partition, s: int) -> tuple[list[int], bool]:
+    """(first gaps, is an s-core), by the top bead of each runner, for a checked s.
+
+    The n row beads lie at or above 1 - n, so on runner r between base_r =
+    (r + n) mod s - n, its lowest position >= -n, and its top bead b.  Take
+    b + s, or base_r on a runner with no row bead: it bounds the packed first
+    gap from above, with equality iff the runner is full.  The packed gaps
+    sum to s(s - 1)/2 (charge 0), so p is an s-core iff these do, and then
+    they are Q(lambda).  A runner's top bead is on its first row: one
+    ``find`` (a memchr) on the runner bytes from 256 rows up and for s <= 29,
+    otherwise a scan up from the last row.
+    """
+    parts = p.parts
+    n = len(parts)
+    gaps = [(r + n) % s - n for r in range(s)]
+    if n >= 256 and s <= 29:
+        for r, i in enumerate(map(_runner_bytes(parts, s).find, range(s))):
+            if i >= 0:
+                gaps[r] = parts[i] - i - 1 + s
+    else:
+        for b in map(sub, reversed(parts), range(n - s, -s, -1)):  # lambda_i - i + s, i = n..1
+            gaps[b % s] = b
+    return gaps, sum(gaps) == s * (s - 1) // 2
 
 
 @cache
@@ -131,8 +143,8 @@ def _plane_table(s: int, k: int) -> bytes:
     return bytes(b * m % s for b in range(256))
 
 
-def _runner_counts_by_bytes(parts, s: int) -> list[int]:
-    """The number of beads lambda_i - i on each runner, for n >= 1
+def _runner_bytes(parts, s: int) -> bytes:
+    """Byte i - 1 is the runner of the bead lambda_i - i, for n >= 1
     non-increasing parts below 2^64.
 
     The parts are packed once as native 8-byte integers; plane k, byte k of
@@ -141,7 +153,7 @@ def _runner_counts_by_bytes(parts, s: int) -> list[int]:
     periodic bytes -i mod s are added as big ints, one byte per row: with w
     planes each byte sum is at most (w + 1)(s - 1), so for 1 <= s <= 29,
     where 9(s - 1) < 256, no byte carries into the next.  One ``translate``
-    folds each sum mod s and s ``bytes.count`` calls read off the runners.
+    folds each sum mod s.
     """
     import array  # a C extension that takes 0.16 ms to load, so start-up does not import it
 
@@ -153,8 +165,7 @@ def _runner_counts_by_bytes(parts, s: int) -> list[int]:
     sums = int.from_bytes((bytes(range(s - 1, -1, -1)) * (n // s + 1))[:n], "little")
     for k in range((parts[0].bit_length() + 7) // 8):
         sums += int.from_bytes(raw[k::8].translate(_plane_table(s, k)), "little")
-    runners = sums.to_bytes(n, "little").translate(_plane_table(s, 0))
-    return list(map(runners.count, range(s)))
+    return sums.to_bytes(n, "little").translate(_plane_table(s, 0))
 
 
 def _partition_from_first_gaps(gaps, s: int) -> Partition:
@@ -172,24 +183,34 @@ def _partition_from_first_gaps(gaps, s: int) -> Partition:
     return _trusted(Partition, parts=tuple(map(add, beads, range(1, len(beads) + 1))))
 
 
+def _hooks_below(p: Partition, s: int) -> bool:
+    """Check s, then whether the longest hook of p, lambda_1 + l(lambda) - 1,
+    is shorter than s, so that p is its own s-core."""
+    check_int(s, "s", 1)
+    check_span(s - 1)  # s first gaps in distinct classes span at least s - 1
+    parts = p.parts
+    return not parts or parts[0] + len(parts) <= s
+
+
 def core(p: Partition, s: int) -> Partition:
     """The s-core, by per-runner bead repacking."""
-    return _partition_from_first_gaps(_packed_first_gaps(p, s), s)
+    return p if _hooks_below(p, s) else _partition_from_first_gaps(_packed_first_gaps(p, s), s)
 
 
 def is_s_core(p: Partition, s: int) -> bool:
-    """Abacus size identity: repacking gives the s-core, so p is one iff nothing shrank."""
-    return _core_size(s, _packed_first_gaps(p, s)) == sum(p.parts)
+    """Whether p is an s-core, read from the top bead of each runner."""
+    return _hooks_below(p, s) or _top_bead_gaps(p, s)[1]
 
 
 def q_set(p: Partition, s: int) -> SSet:
     """Q(lambda): the highest unoccupied position on each runner of an s-core."""
     check_int(s, "s", 2)
-    elements = frozenset(_packed_first_gaps(p, s))
-    if _core_size(s, elements) != sum(p.parts):
+    check_span(s - 1)
+    gaps, is_core = _top_bead_gaps(p, s)
+    if not is_core:
         raise DomainError(f"{p} is not a {s}-core")
-    # the packed first gaps of an s-core: one per runner, and charge 0 fixes the sum
-    return _trusted(SSet, s=s, elements=elements)
+    # one gap per runner, summing to s(s - 1)/2: an s-set
+    return _trusted(SSet, s=s, elements=frozenset(gaps))
 
 
 def core_from_s_set(q: SSet) -> Partition:

@@ -164,11 +164,6 @@ def sset_of_point(p: SPoint) -> SSet:
     return _trusted(SSet, s=p.s, elements=frozenset(p.coords))
 
 
-def point_of_sset(q: SSet) -> SPoint:
-    # the elements of a checked s-set, in order
-    return _trusted(SPoint, coords=q.sorted_elements())
-
-
 def in_rhomboid(p: SPoint, t: int) -> bool:
     """Membership in R^s_t: consecutive gaps all within [1, t]."""
     check_int(t, "t", 1)

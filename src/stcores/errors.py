@@ -77,10 +77,10 @@ def check_span(span: int) -> None:
         raise DomainError(f"abacus span of {span} positions exceeds the cap of {MAX_SPAN}")
 
 
-def check_scan(work: int, what: str) -> None:
+def check_scan(work: int, what: str, at_least: bool = False) -> None:
     """A scan, walk or rendering (named by what) of at most MAX_SCAN units of work."""
     if work > MAX_SCAN:
-        raise DomainError(f"{what} of {work} units of work exceeds the cap of {MAX_SCAN}")
+        raise DomainError(f"{what} of {'at least ' * at_least}{work} units of work exceeds the cap of {MAX_SCAN}")
 
 
 def count_bits_below(n: int, k: int) -> float:

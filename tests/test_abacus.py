@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from stcores import DomainError
-from stcores.errors import MAX_SIZE
+from stcores.errors import MAX_SIZE, _read_ints
 from stcores.abacus import (
     BetaSet,
     _packed_first_gaps,
-    _runner_counts_by_bytes,
+    _runner_bytes,
     beta_set,
     core,
     core_from_s_set,
@@ -19,7 +19,6 @@ from stcores.abacus import (
     partition_from_beta_set,
     q_set,
     size_from_s_set,
-    sset_from_text,
     sset_to_text,
 )
 from stcores.partitions import (
@@ -37,6 +36,11 @@ partition_parts = st.lists(st.integers(1, 9), max_size=8).map(
 
 def P(*parts):
     return Partition(parts)
+
+
+def sset_from_text(text, s):
+    """The inverse of sset_to_text, as the CLI's s-set output is read back."""
+    return make_sset(s, _read_ints(text, "s-set text", "[]"))
 
 
 def test_beta_set_examples():
@@ -163,6 +167,11 @@ def test_builder_matches_position_scan():
     assert min(sizes) == 0 and max(sizes) > 10**6
 
 
+def _runner_counts_by_bytes(parts, s):
+    """The byte passes' count of each runner: s ``bytes.count`` calls on the runner bytes."""
+    return list(map(_runner_bytes(parts, s).count, range(s)))
+
+
 def _runner_counts_by_rows(parts, s):
     """Oracle for the bead count of each runner, one bead lambda_i - i at a time."""
     counts = Counter((part - i) % s for i, part in enumerate(parts, start=1))
@@ -276,3 +285,125 @@ def test_byte_sums_would_carry_beyond_the_bound():
 def test_q_set_round_trip_on_cores(p, s):
     lam = core(p, s)
     assert core_from_s_set(q_set(lam, s)) == lam
+
+
+def _one_bead_on_the_runner_of_minus_n(n, s, k, rng):
+    """A non-core of n rows whose runners are all full from the tail up to
+    their top bead, except the runner of -n, which holds one bead, at
+    -n + k*s: position -n is never a bead, so that bead can slide down."""
+    low = -n % s
+    counts = [0] * s
+    others = [r for r in range(s) if r != low]
+    for _ in range(n - 1):
+        counts[rng.choice(others)] += 1
+    beads = [(r + n) % s - n + s * j for r in others for j in range(counts[r])] + [-n + k * s]
+    beads.sort(reverse=True)  # n distinct beads, all at least 1 - n
+    return Partition(tuple(b + i for i, b in enumerate(beads, start=1)))
+
+
+def _adversarial_non_cores(lam, s, rng):
+    """Near misses of the s-core lam, each still of len(lam.parts) rows: one
+    rim hook of length s added at the top, the bottom row one box shorter or
+    longer, and a lone bead on the runner of -n."""
+    parts = lam.parts
+    n = len(parts)
+    yield Partition((parts[0] + s,) + parts[1:])
+    if parts[-1] > 1:
+        yield Partition(parts[:-1] + (parts[-1] - 1,))
+    if n == 1 or parts[-1] < parts[-2]:
+        yield Partition(parts[:-1] + (parts[-1] + 1,))
+    for k in (1, 2, n // s + 1):
+        yield _one_bead_on_the_runner_of_minus_n(n, s, k, rng)
+
+
+@pytest.mark.parametrize("s", range(2, 32))
+def test_top_bead_read_matches_the_per_row_oracles(s):
+    """q_set, is_s_core and the refusal text against the per-row oracles at
+    255, 256 and 257 rows, on both sides of the byte path's bounds (256 rows,
+    s <= 29): on a seeded s-core, on a random partition, and on the near
+    misses of the core that a wrong count implied by the top beads would
+    let through."""
+    rng = random.Random(f"top-beads-{s}")
+    for n in (255, 256, 257):
+        q, lam = _core_with_rows(n, s, rng)
+        assert is_s_core(lam, s) and q_set(lam, s) == q
+        assert q.elements == frozenset(_first_gaps_by_rows(lam, s))
+        random_rows = Partition(tuple(sorted((rng.randint(1, 10**6) for _ in range(n)), reverse=True)))
+        near_misses = list(_adversarial_non_cores(lam, s, rng))
+        for p in [random_rows] + near_misses:
+            assert len(p.parts) == n
+            is_core = _is_core_by_rows(p, s)
+            assert is_s_core(p, s) == is_core, (n, s, p.parts[:3], p.parts[-3:])
+            if is_core:
+                assert q_set(p, s).elements == frozenset(_first_gaps_by_rows(p, s))
+            else:
+                with pytest.raises(DomainError) as refusal:
+                    q_set(p, s)
+                assert str(refusal.value) == f"{p} is not a {s}-core"
+        # the hook on top, the runner of -n and the random rows are never cores
+        assert not any(_is_core_by_rows(p, s) for p in [random_rows, near_misses[0], *near_misses[-3:]])
+
+
+def test_q_set_and_is_s_core_never_sum_the_parts(monkeypatch):
+    """Neither read adds up the parts to check the size: with a sum that
+    refuses the parts, both still answer, on the loop and on the byte path,
+    for cores and for refusals."""
+    import builtins
+
+    from stcores import abacus
+
+    rng = random.Random("no-sum")
+    seen = set()
+
+    def sum_but_not_the_parts(values, *start):
+        assert not any(values is p.parts for p in seen), "summed the parts"
+        return builtins.sum(values, *start)
+
+    monkeypatch.setattr(abacus, "sum", sum_but_not_the_parts, raising=False)
+    for n, s in ((100, 7), (300, 7), (300, 31)):
+        _, lam = _core_with_rows(n, s, rng)
+        non_core = Partition((lam.parts[0] + s,) + lam.parts[1:])
+        seen.update((lam, non_core))
+        assert is_s_core(lam, s) and not is_s_core(non_core, s)
+        assert q_set(lam, s).elements == frozenset(_first_gaps_by_rows(lam, s))
+        with pytest.raises(DomainError, match=r"-core$"):
+            q_set(non_core, s)
+    with pytest.raises(AssertionError, match="summed the parts"):
+        sum_but_not_the_parts(lam.parts)  # the guard does refuse them
+
+
+@pytest.mark.parametrize("s", range(1, 15))
+def test_core_and_is_s_core_return_at_once_when_no_hook_reaches_s(s, monkeypatch):
+    """When lambda_1 + l(lambda) - 1 < s no hook has length s: core returns p
+    itself and is_s_core True without reading a runner.  Both agree with the
+    hook oracles on every partition of at most 12 boxes."""
+    from stcores import abacus
+
+    short = []
+    for p in partitions_up_to(12):
+        assert core(p, s) == brute_core(p, s), (p, s)
+        assert is_s_core(p, s) == is_s_core_by_hooks(p, s), (p, s)
+        if not p.parts or p.parts[0] + len(p.parts) - 1 < s:
+            short.append(p)
+    monkeypatch.setattr(abacus, "_packed_first_gaps", lambda p, s: pytest.fail("counted the runners"))
+    monkeypatch.setattr(abacus, "_top_bead_gaps", lambda p, s: pytest.fail("read the runners"))
+    for p in short:
+        assert core(p, s) is p and is_s_core(p, s)
+    assert short and (s < 13) == (len(short) < len(list(partitions_up_to(12))))
+
+
+def test_entry_checks_keep_their_order():
+    """s is checked as an integer, then for the span of its s first gaps, and
+    only then is the partition read, also where no hook reaches s."""
+    non_core, small = P(6, 6, 2, 1), P(1)
+    span = r"^abacus span of 10000001 positions exceeds the cap of 10000000$"
+    for f in (core, is_s_core, q_set):
+        for p in (non_core, small):
+            with pytest.raises(DomainError, match=r"^s must be an integer, got 2\.0$"):
+                f(p, 2.0)
+            with pytest.raises(DomainError, match=span):
+                f(p, 10**7 + 2)
+    with pytest.raises(DomainError, match=r"^need s >= 2, got 1$"):
+        q_set(non_core, 1)
+    with pytest.raises(DomainError, match=r"^6,6,2,1 is not a 5-core$"):
+        q_set(non_core, 5)

@@ -11,7 +11,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stcores import abacus, alcoves, cli, orbits, partitions as parts
+from stcores.errors import _read_ints
 from stcores.verify import random_s_core, random_s_point
+
+
+def sset_from_text(text, s):
+    """The qset output read back as an s-set."""
+    return abacus.make_sset(s, _read_ints(text, "s-set text", "[]"))
+
+
+def point_of_sset(q):
+    """The s-point whose coordinates are the elements of q, in order."""
+    return alcoves.SPoint(q.sorted_elements())
 
 
 def run_cli(capsys, *argv):
@@ -495,7 +506,7 @@ def test_round_trip_of_output_text(capsys):
     _, out, _ = run_cli(capsys, "core", "--s", "5", "6,6,2,1")
     assert parts.from_text(out.strip()) == parts.Partition((5, 2, 2, 1))
     _, out, _ = run_cli(capsys, "qset", "--s", "5", "5,2,2,1")
-    assert abacus.sset_from_text(out.strip(), 5) == abacus.make_sset(5, [5, -4, 2, -2, 9])
+    assert sset_from_text(out.strip(), 5) == abacus.make_sset(5, [5, -4, 2, -2, 9])
     _, out, _ = run_cli(capsys, "act", "chi", "--t", "4", "--word", "0", "(0,1,2)")
     assert point_from_text(out.strip()).coords == (-4, 1, 6)
 
@@ -757,7 +768,7 @@ def test_streamed_steps_equal_the_whole_payload_built_at_once():
                     for json_mode in (False, True):
                         got = _streamed(argv + ["--json"] * json_mode)
                         assert got == _reference_orbit_min(start, s, t, json_mode), argv
-            rhomboid = alcoves.point_of_sset(abacus.q_set(nu, s))
+            rhomboid = point_of_sset(abacus.q_set(nu, s))
             for point in (rhomboid, alcoves.tip(s, t)):
                 point_text = alcoves.point_to_text(point)
                 argv = ["chain", "--s", str(s), "--t", str(t), point_text]

@@ -3,7 +3,7 @@
 import pytest
 
 from stcores import DomainError
-from stcores.abacus import BetaSet, SSet, core_from_s_set, make_sset, q_set, sset_from_text
+from stcores.abacus import BetaSet, SSet, core_from_s_set, make_sset, q_set
 from stcores.affine_actions import alpha, apply_word, chi_gen, chi_on_sset, psi_gen
 from stcores.alcoves import (
     Hyperplane,
@@ -26,6 +26,7 @@ from stcores.orbits import (
     level_orbit_up_to_size,
 )
 from stcores.diagram import RenderSpec
+from stcores.errors import _read_ints
 from stcores.abacus import core, is_s_core
 from stcores.partitions import (
     Box,
@@ -42,6 +43,12 @@ from stcores.partitions import (
 )
 
 ORIGIN_SSET_3 = make_sset(3, range(3))
+
+
+def sset_from_text(text, s):
+    """s-set text as printed by sset_to_text, read back through the one text reader."""
+    return make_sset(s, _read_ints(text, "s-set text", "[]"))
+
 
 BOUNDARY_CASES = {
     "sset_congruent": lambda: SSet(3, frozenset({-2, 1, 4})),

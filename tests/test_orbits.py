@@ -4,6 +4,7 @@ import re
 import signal
 import time
 import tracemalloc
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -26,7 +27,6 @@ from stcores.alcoves import (
     fold_to_dominant,
     in_rhomboid,
     origin,
-    point_of_sset,
     rhomboid_points,
     separating_hyperplanes,
     side_of,
@@ -51,6 +51,11 @@ from stcores.verify import random_s_core, random_s_point
 
 def P(*parts):
     return Partition(parts)
+
+
+def point_of_sset(q):
+    """The s-point whose coordinates are the elements of q, in order."""
+    return SPoint(q.sorted_elements())
 
 
 def test_residue_multiset_examples():
@@ -298,11 +303,23 @@ def test_descent_trace_keeps_no_s_sets():
     assert nu == core(lam, t)
 
 
+def _refusal(q, t, cap):
+    """The descent's refusal under cap: by the lower bound (the sum over the
+    pairs of |c_i // st - c_j // st|, less s(s-1)/2) where that passes the
+    cap, and by the exact length otherwise."""
+    st = q.s * t
+    bound = sum(abs(a // st - b // st) for a, b in combinations(_c_form(q, t), 2)) - q.s * (q.s - 1) // 2
+    if bound > cap:
+        return f"^descent of at least {bound} units of work exceeds the cap of {cap}$"
+    return f"^descent of {_inversions(q, t)} units of work exceeds the cap of {cap}$"
+
+
 def test_descent_is_refused_once_its_steps_pass_the_cap(monkeypatch):
     """A step is one unit of work: a descent of n steps runs under a cap of n,
     and under a lower cap it is refused before its first step, by its exact
-    length, also where the bound |lambda|/t is within a factor 2 of n.  Under
-    a cap of at least |lambda|/t the length is never counted."""
+    length, also where the bound |lambda|/t is within a factor 2 of n, unless
+    a lower bound on the length already passes the cap.  Under a cap of at
+    least |lambda|/t the length is never counted."""
     s, t = 7, 9
     lam = core_from_s_set(make_sset(s, random_s_point(random.Random("descent-cap"), s, 200).coords))
     nu, trace = descend_to_t_core(lam, s, t)
@@ -315,10 +332,14 @@ def test_descent_is_refused_once_its_steps_pass_the_cap(monkeypatch):
         m.setattr(orbits, "_descent_length", lambda c, st: pytest.fail("counted under the cap"))
         assert descend_to_t_core(lam, s, t) == (nu, trace)
     monkeypatch.setattr(orbits, "_sort_descent", lambda c, st: pytest.fail("a step ran"))
+    refusals = []
     for cap in (n - 1, n // 2, 0):
         monkeypatch.setattr(errors, "MAX_SCAN", cap)
-        with pytest.raises(DomainError, match=f"^descent of {n} units of work exceeds the cap of {cap}$"):
+        refusals.append(_refusal(q_set(lam, s), t, cap))
+        with pytest.raises(DomainError, match=refusals[-1]):
             descend_to_t_core(lam, s, t)
+    # one step below n the bound stays under the cap, and the exact length is named
+    assert ["at least" in text for text in refusals] == [False, True, True]
     # on some seeded descents every step takes exactly t boxes, so the bound
     # |lambda|/t is the length itself and the cap one step below it is refused
     tight = 0
@@ -326,10 +347,39 @@ def test_descent_is_refused_once_its_steps_pass_the_cap(monkeypatch):
         n = _inversions(q, t)
         if n and size_from_s_set(q) // t < 2 * n:
             monkeypatch.setattr(errors, "MAX_SCAN", n - 1)
-            with pytest.raises(DomainError, match=f"^descent of {n} units of work exceeds the cap of {n - 1}$"):
+            with pytest.raises(DomainError, match=_refusal(q, t, n - 1)):
                 descend_to_t_core(core_from_s_set(q), q.s, t)
             tight += size_from_s_set(q) // t == n
     assert tight >= 10, tight
+
+
+def test_descent_far_over_the_cap_is_refused_after_one_sort(monkeypatch):
+    """Where the spread of c // st less s(s-1)/2, a lower bound on the length,
+    passes the cap, the refusal names that bound and the pairs are never
+    counted: at s = 100,001 (t = 1, 2) on c drawn over ten multiples of st,
+    against the bound summed over the distinct values of c // st, and on the
+    seeded descents of s <= 15 under a cap just below the bound."""
+    monkeypatch.setattr(orbits, "_rising_pairs", lambda values: pytest.fail("the pairs were counted"))
+    rng = random.Random("descent-bound")
+    s = 100_001
+    for t in (1, 2):
+        st = s * t
+        c = [rng.randrange(-5 * st, 5 * st) for _ in range(s)]
+        quotients = sorted(Counter(x // st for x in c).items())
+        bound = sum((v - w) * m * k for (w, k), (v, m) in combinations(quotients, 2)) - s * (s - 1) // 2
+        assert bound > errors.MAX_SCAN
+        with pytest.raises(DomainError, match=f"^descent of at least {bound} units of work exceeds the cap of {errors.MAX_SCAN}$"):
+            orbits._descent_length(c, st, bounded=True)
+    refused = 0
+    for q, t in _seeded_descents("descent-bound"):
+        st = q.s * t
+        bound = sum(abs(a // st - b // st) for a, b in combinations(_c_form(q, t), 2)) - q.s * (q.s - 1) // 2
+        if bound > 0:
+            monkeypatch.setattr(errors, "MAX_SCAN", bound - 1)
+            with pytest.raises(DomainError, match=f"^descent of at least {bound} units of work exceeds the cap of {bound - 1}$"):
+                descend_to_t_core(core_from_s_set(q), q.s, t)
+            refused += 1
+    assert refused >= 100, refused
 
 
 def test_same_level_t_orbit_examples():
