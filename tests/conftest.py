@@ -11,8 +11,19 @@ import math
 
 from stcores import is_s_core_by_hooks, partitions_up_to, size
 from stcores.abacus import core_from_s_set, make_sset
-from stcores.alcoves import rhomboid_points
+from stcores.alcoves import SPoint, rhomboid_points
+from stcores.errors import _read_ints
 from stcores.partitions import Partition
+
+
+def sset_from_text(text: str, s: int):
+    """An s-set printed as by sset_to_text (the qset output), read back."""
+    return make_sset(s, _read_ints(text, "s-set text", "[]"))
+
+
+def point_of_sset(q) -> SPoint:
+    """The s-point whose coordinates are the elements of q, in order."""
+    return SPoint(q.sorted_elements())
 
 
 def brute_st_cores(s: int, t: int) -> list[Partition]:

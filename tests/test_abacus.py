@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from stcores import DomainError
-from stcores.errors import MAX_SIZE, _read_ints
+from conftest import sset_from_text
+from stcores.errors import MAX_SIZE
 from stcores.abacus import (
     BetaSet,
     _packed_first_gaps,
@@ -36,11 +37,6 @@ partition_parts = st.lists(st.integers(1, 9), max_size=8).map(
 
 def P(*parts):
     return Partition(parts)
-
-
-def sset_from_text(text, s):
-    """The inverse of sset_to_text, as the CLI's s-set output is read back."""
-    return make_sset(s, _read_ints(text, "s-set text", "[]"))
 
 
 def test_beta_set_examples():

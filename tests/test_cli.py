@@ -11,18 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stcores import abacus, alcoves, cli, orbits, partitions as parts
-from stcores.errors import _read_ints
+from conftest import point_of_sset, sset_from_text
 from stcores.verify import random_s_core, random_s_point
-
-
-def sset_from_text(text, s):
-    """The qset output read back as an s-set."""
-    return abacus.make_sset(s, _read_ints(text, "s-set text", "[]"))
-
-
-def point_of_sset(q):
-    """The s-point whose coordinates are the elements of q, in order."""
-    return alcoves.SPoint(q.sorted_elements())
 
 
 def run_cli(capsys, *argv):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from conftest import sset_from_text
 from stcores import DomainError
 from stcores.abacus import BetaSet, SSet, core_from_s_set, make_sset, q_set
 from stcores.affine_actions import alpha, apply_word, chi_gen, chi_on_sset, psi_gen
@@ -26,7 +27,6 @@ from stcores.orbits import (
     level_orbit_up_to_size,
 )
 from stcores.diagram import RenderSpec
-from stcores.errors import _read_ints
 from stcores.abacus import core, is_s_core
 from stcores.partitions import (
     Box,
@@ -43,11 +43,6 @@ from stcores.partitions import (
 )
 
 ORIGIN_SSET_3 = make_sset(3, range(3))
-
-
-def sset_from_text(text, s):
-    """s-set text as printed by sset_to_text, read back through the one text reader."""
-    return make_sset(s, _read_ints(text, "s-set text", "[]"))
 
 
 BOUNDARY_CASES = {

@@ -9,7 +9,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import brute_st_cores, st_cores_by_difference_scan
+from conftest import brute_st_cores, point_of_sset, st_cores_by_difference_scan
 from stcores import DomainError, errors, orbits
 from stcores.errors import count_bits_below
 from stcores.abacus import (
@@ -51,11 +51,6 @@ from stcores.verify import random_s_core, random_s_point
 
 def P(*parts):
     return Partition(parts)
-
-
-def point_of_sset(q):
-    """The s-point whose coordinates are the elements of q, in order."""
-    return SPoint(q.sorted_elements())
 
 
 def test_residue_multiset_examples():
