@@ -132,7 +132,7 @@ def descend_to_t_core(lam: Partition, s: int, t: int) -> tuple[Partition, OrbitD
     c = [j * t - a for j, a in enumerate(_t_cycle(q.elements, s, t))]
     st = s * t
     if size_from_s_set(q) // t > errors.MAX_SCAN:  # read per call, so a test can lower it
-        check_scan(_descent_length(c, st, bounded=True), "descent")  # each step is O(1), so this bounds the time
+        check_scan(_descent_length(c, st), "descent")  # each step is O(1), so this bounds the time
     gens = _sort_descent(c, st)
     # every move was a chi_t move, so jt - c_j is still an s-set
     final = _trusted(SSet, s=s, elements=frozenset(j * t - x for j, x in enumerate(c)))
@@ -198,7 +198,7 @@ def _sort_descent(c: list[int], st: int) -> list[int]:
             return gens
 
 
-def _descent_length(c: list[int], st: int, bounded: bool = False) -> int:
+def _descent_length(c: list[int], st: int) -> int:
     """The number of inversions of C[j + ks] = c_j + kst, in O(s log s).
 
     Take two indices i < j with c_i != c_j, and write hi, lo for the one
@@ -207,14 +207,13 @@ def _descent_length(c: list[int], st: int, bounded: bool = False) -> int:
     inversions C[hi] > C[lo + ks], over k >= 0, when hi = i, and one fewer,
     over k >= 1, when hi = j; a pair with c_i = c_j gives none.  Summed over
     the pairs: the spread of q, plus the pairs that rise in both c and r,
-    minus the pairs that rise in both index and c.  When bounded, the spread
-    less s(s - 1)/2, a lower bound, is checked against the cap first.
+    minus the pairs that rise in both index and c.  The spread less
+    s(s - 1)/2, a lower bound, is checked against the cap first.
     """
     order = sorted(c)
     s = len(c)
     spread = sum(x // st * (2 * k - s + 1) for k, x in enumerate(order))  # sum of q_hi - q_lo
-    if bounded:
-        check_scan(spread - s * (s - 1) // 2, "descent", at_least=True)
+    check_scan(spread - s * (s - 1) // 2, "descent", at_least=True)
     return spread + _rising_pairs([x % st for x in order]) - _rising_pairs(c)
 
 

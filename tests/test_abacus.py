@@ -163,9 +163,9 @@ def test_builder_matches_position_scan():
     assert min(sizes) == 0 and max(sizes) > 10**6
 
 
-def _runner_counts_by_bytes(parts, s):
-    """The byte passes' count of each runner: s ``bytes.count`` calls on the runner bytes."""
-    return list(map(_runner_bytes(parts, s).count, range(s)))
+def _runner_bytes_by_rows(parts, s):
+    """Oracle for _runner_bytes: the runner of each bead lambda_i - i, one row at a time."""
+    return bytes((part - i) % s for i, part in enumerate(parts, start=1))
 
 
 def _runner_counts_by_rows(parts, s):
@@ -225,7 +225,7 @@ def test_runner_counts_are_exact_across_the_path_bound(s):
             gaps = _first_gaps_by_rows(p, s)
             assert _packed_first_gaps(p, s) == gaps, (n, s)
             if s <= 29:
-                assert _runner_counts_by_bytes(p.parts, s) == _runner_counts_by_rows(p.parts, s), (n, s)
+                assert _runner_bytes(p.parts, s) == _runner_bytes_by_rows(p.parts, s), (n, s)
             is_core = _is_core_by_rows(p, s)
             assert is_s_core(p, s) == is_core, (n, s)
             if s >= 2 and is_core:
@@ -242,7 +242,7 @@ def test_runner_counts_are_exact_across_the_path_bound(s):
 def test_runner_counts_are_exact_at_every_plane_width(s):
     """Largest parts just below and just above each 2^(8k), so that the byte
     passes read every count of planes from 1 to 8, with every byte of a
-    plane up to 255.  They are compared with the per-row count directly
+    plane up to 255.  They are compared with the per-row runner bytes directly
     wherever they are exact (s <= 29, where 9(s - 1) < 256), and
     _packed_first_gaps on both sides of its switch to the loop above that
     bound, on partitions whose first row sets the width."""
@@ -257,7 +257,7 @@ def test_runner_counts_are_exact_at_every_plane_width(s):
                 parts = [top] * (n // 4) + [rng.randint(1, top) for _ in range(n - n // 4)]
                 parts = tuple(sorted(parts, reverse=True))
                 if s <= 29:
-                    assert _runner_counts_by_bytes(parts, s) == _runner_counts_by_rows(parts, s), (s, width, n)
+                    assert _runner_bytes(parts, s) == _runner_bytes_by_rows(parts, s), (s, width, n)
                 if top <= MAX_SIZE // 2:
                     rest = sorted((rng.randint(1, min(top, MAX_SIZE // (2 * n))) for _ in range(n - 1)), reverse=True)
                     p = Partition((top, *rest))
@@ -268,12 +268,12 @@ def test_runner_counts_are_exact_at_every_plane_width(s):
 def test_byte_sums_would_carry_beyond_the_bound():
     """At s = 31 a first row whose eight planes each read 30 mod s, with the
     shift -1 mod s = 30, sums to 270 and carries into the next row's byte:
-    the byte passes miscount it, and _packed_first_gaps, which takes the
+    the byte passes misread it, and _packed_first_gaps, which takes the
     loop above s = 29, does not."""
     s = 31
     part = sum((30 * pow(256, -k, s) % s) << (8 * k) for k in range(8))
     p = Partition((part,) + (1,) * 299)
-    assert _runner_counts_by_bytes(p.parts, s) != _runner_counts_by_rows(p.parts, s)
+    assert _runner_bytes(p.parts, s) != _runner_bytes_by_rows(p.parts, s)
     assert _packed_first_gaps(p, s) == _first_gaps_by_rows(p, s)
 
 

@@ -136,7 +136,7 @@ def test_boundary_rejects_invalid_values(build):
 
 
 S_BELOW_1_CASES = {
-    # the abacus side, through _packed_first_gaps
+    # the abacus side, through _hooks_below
     "core": lambda: core(Partition((2, 1)), 0),
     "is_s_core": lambda: is_s_core(Partition((2, 1)), -1),
     # the hook side

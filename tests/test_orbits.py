@@ -261,10 +261,12 @@ def test_descent_length_is_the_inversion_count():
         assert size_from_s_set(q) // t >= len(trace), (q, t)
 
 
-def test_descent_length_is_counted_exactly_at_large_s():
+def test_descent_length_is_counted_exactly_at_large_s(monkeypatch):
     """The O(s log s) count against the O(s^2) inversion sum on seeded s-sets
     up to s = 1000, far and near their t-cores, and against the descent
-    itself where it is short enough to run."""
+    itself where it is short enough to run.  The cap is raised so that the
+    count's lower-bound check refuses none of them."""
+    monkeypatch.setattr(errors, "MAX_SCAN", 2**62)
     rng = random.Random("descent-length-large")
     ran = 0
     for s in (16, 31, 64, 101, 256, 499, 1000):
@@ -364,7 +366,7 @@ def test_descent_far_over_the_cap_is_refused_after_one_sort(monkeypatch):
         bound = sum((v - w) * m * k for (w, k), (v, m) in combinations(quotients, 2)) - s * (s - 1) // 2
         assert bound > errors.MAX_SCAN
         with pytest.raises(DomainError, match=f"^descent of at least {bound} units of work exceeds the cap of {errors.MAX_SCAN}$"):
-            orbits._descent_length(c, st, bounded=True)
+            orbits._descent_length(c, st)
     refused = 0
     for q, t in _seeded_descents("descent-bound"):
         st = q.s * t
