@@ -39,6 +39,8 @@ class BetaSet(_Value):
     the last head is at least 1 - n.
     """
 
+    __slots__ = ("heads",)
+
     def __init__(self, heads: tuple[int, ...] = ()) -> None:
         _set(self, "heads", heads)
         self.__post_init__()
@@ -55,6 +57,8 @@ class BetaSet(_Value):
 
 class SSet(_Value):
     """s integers, pairwise incongruent mod s, summing to s(s-1)/2."""
+
+    __slots__ = ("s", "elements")
 
     def __init__(self, s: int, elements: frozenset[int]) -> None:
         _set(self, "s", s)

@@ -18,6 +18,8 @@ from .errors import check_s_set, check_scan, check_span
 class SPoint(_Value):
     """Integer point of P^s whose coordinates form an s-set."""
 
+    __slots__ = ("coords",)
+
     def __init__(self, coords: tuple[int, ...]) -> None:
         _set(self, "coords", coords)
         self.__post_init__()
@@ -36,6 +38,8 @@ class SPoint(_Value):
 class Hyperplane(_Value):
     """H_ij^k = {p : p_j - p_i = k s}, with 1 <= i < j."""
 
+    __slots__ = ("i", "j", "k")
+
     def __init__(self, i: int, j: int, k: int) -> None:
         _set(self, "i", i)
         _set(self, "j", j)
@@ -50,6 +54,8 @@ class Hyperplane(_Value):
 
 class AlcoveKey(_Value):
     """floor((p_j - p_i)/s) per pair i < j, pairs in lexicographic order."""
+
+    __slots__ = ("s", "floors")
 
     def __init__(self, s: int, floors: tuple[int, ...]) -> None:
         _set(self, "s", s)

@@ -26,6 +26,8 @@ _MARGIN = 20
 class RenderSpec(_Value):
     """Parameters for the alcove diagram."""
 
+    __slots__ = ("s", "depth", "mode", "t")
+
     def __init__(self, s: int, depth: int, mode: str, t: int | None = None) -> None:
         _set(self, "s", s)
         _set(self, "depth", depth)
@@ -61,6 +63,8 @@ class Alcove(_Value):
     a = floor(u/3), b = floor(v/3) for the gaps (u, v) of its dominant point;
     up-triangles have u + v below the next level wall, down-triangles above.
     """
+
+    __slots__ = ("a", "b", "up")
 
     def __init__(self, a: int, b: int, up: bool) -> None:
         _set(self, "a", a)

@@ -148,9 +148,14 @@ class _Value:
 
     It equals only a value of its own class with equal fields, hashes
     alike, prints as ``Cls(field=value, ...)`` and refuses assignment and
-    deletion.  Each class's own ``__init__`` sets the fields through ``_set``
-    and then calls ``self.__post_init__()``, its check, where it has one.
+    deletion.  Each class declares its fields as its ``__slots__``, so an
+    instance holds them and nothing else; its own ``__init__`` sets them
+    through ``_set`` and then calls ``self.__post_init__()``, its check,
+    where it has one.  ``copy`` and ``pickle`` rebuild a value through that
+    ``__init__``, so an unpickled value is checked again.
     """
+
+    __slots__ = ()
 
     def __init_subclass__(cls) -> None:
         code = cls.__init__.__code__
@@ -171,6 +176,9 @@ class _Value:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 
@@ -181,10 +189,8 @@ class _Value:
 def _trusted(cls, **fields):
     """cls(**fields) without its __post_init__ check, for values derived from
     checked ones by a move that keeps cls's contract; each caller names it.
-
-    Fields go in through object.__setattr__, as each class's own __init__
-    puts them, never through obj.__dict__: writing the dict makes the
-    instance hold a materialised dict of its own, larger per value."""
+    Fields go into their slots through object.__setattr__, as each class's
+    own __init__ puts them."""
     obj = _new(cls)
     for name, value in fields.items():
         _set(obj, name, value)

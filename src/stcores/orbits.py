@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import math
 from bisect import insort
-from collections import defaultdict
-from itertools import combinations
+from collections import defaultdict, deque
+from itertools import chain, combinations, repeat
 
 from .abacus import SSet, _partition_from_first_gaps, core_from_s_set, q_set, size_from_s_set
 from .alcoves import SPoint, _check_rhomboid, fold_to_dominant, in_rhomboid, tip
@@ -58,6 +58,8 @@ class OrbitDescentTrace(_Value):
     int per step however large the cores are, and a reader that takes one
     step at a time holds one s-set at a time.
     """
+
+    __slots__ = ("initial_sset", "t", "gens")
 
     def __init__(self, initial_sset: SSet, t: int, gens: tuple[int, ...]) -> None:
         _set(self, "initial_sset", initial_sset)
@@ -312,15 +314,22 @@ def enumerate_st_cores(s: int, t: int) -> list[Partition]:
     are those below min(s, t), and any other gap becomes addable when its
     last lower cover joins.  Each node keeps its addable gaps above its
     largest hook, ascending, and its ideal as a bit mask (bit 0 for every
-    h <= 0): a child at h keeps those above h and gains, by bisection, the
-    covers h+s, h+t whose other lower cover's bit is set.
+    h <= 0): a child at h keeps those above h and gains, by bisection, its
+    cover h + min(s, t) if that is a gap whose other lower cover,
+    h - |s - t|, has its bit set.  The other cover, h + max(s, t), cannot
+    join there, as its other lower cover h + |s - t| lies above h, the
+    child's largest hook; it joins from the node of h + |s - t|, as that
+    gap's cover.
 
     On an n-row core with hooks h_1 > ... > h_n the rows are
     lambda_i = h_i - (n - i), so a new largest hook h leaves every row as it
     is and puts a new first row h - n on top: each core is one tuple prepend
     of its parent, with h - n more boxes.  Each core goes into a bucket of
-    its size; the buckets, each sorted, are read in ascending size, so no
-    (size, parts) pair is built and no sort runs across sizes.
+    its size; the buckets, each sorted, are read in ascending size into one
+    list of rows, so no (size, parts) pair is built and no sort runs across
+    sizes.  The rows are wrapped unchecked: the cores are made in one
+    ``map`` of ``object.__new__`` and filled by a ``map`` of the ``parts``
+    slot's setter, so no Python frame runs per core.
 
     The work is priced on the output alone, by ``_enumeration_work``.
     """
@@ -331,14 +340,13 @@ def enumerate_st_cores(s: int, t: int) -> list[Partition]:
     for a in range(0, top + 1, s):
         for b in range(a, top + 1, t):
             in_semigroup[b] = 1
-    # for each gap, the gaps covering it, each with the bit of its other lower cover (bit 0 if nonpositive)
-    covers = [
-        [(c, 1 << max(c - d, 0)) for c, d in ((h + s, t), (h + t, s)) if c <= top and not in_semigroup[c]]
-        for h in range(top + 1)
-    ]
+    # for each gap h, its cover h + step with that cover's other lower cover's bit, or (0, 0)
+    step, lag = min(s, t), abs(s - t)
+    covers = [(h + step, 1 << max(h - lag, 0)) if h + step <= top and not in_semigroup[h + step] else (0, 0)
+              for h in range(top + 1)]
     # keyed sparsely: Kane's bound on the sizes, (s^2-1)(t^2-1)/24, can far exceed the cores' count
     by_size = defaultdict(list, {0: [()]})
-    stack = [(list(range(1, min(s, t))), 1, (), 0)]
+    stack = [(list(range(1, step)), 1, (), 0)]  # the minimal gaps
     while stack:
         addable, ideal, parts, size = stack.pop()
         n = len(parts)
@@ -346,24 +354,22 @@ def enumerate_st_cores(s: int, t: int) -> list[Partition]:
             child, child_size = (h - n,) + parts, size + h - n
             by_size[child_size].append(child)
             above = addable[k:]
-            for c, other in covers[h]:
-                if ideal & other:
-                    insort(above, c)
+            c, other = covers[h]
+            if ideal & other:
+                insort(above, c)
             if above:
                 stack.append((above, ideal | 1 << h, child, child_size))
-    new, put = object.__new__, object.__setattr__
-    cores = []
-    for boxes in sorted(by_size):
-        for parts in sorted(by_size[boxes]):
-            # the rows h_i - (n - i) of an ideal of gaps: the parts of an (s,t)-core
-            core = new(Partition)
-            put(core, "parts", parts)
-            cores.append(core)
+    rows = list(chain.from_iterable(sorted(by_size[boxes]) for boxes in sorted(by_size)))
+    # the rows h_i - (n - i) of an ideal of gaps: the parts of an (s,t)-core
+    cores = list(map(object.__new__, repeat(Partition, len(rows))))
+    deque(map(Partition.parts.__set__, cores, rows), 0)
     return cores
 
 
 class ContainmentChain(_Value):
     """A gallery walk whose cores grow weakly from start to the extremal core."""
+
+    __slots__ = ("points", "cores", "gens")
 
     def __init__(self, points: tuple[SPoint, ...], cores: tuple[Partition, ...],
                  gens: tuple[int, ...]) -> None:

@@ -27,6 +27,8 @@ class Partition(_Value):
     """A partition as a weakly decreasing tuple of positive integers,
     ordered as its tuple of parts."""
 
+    __slots__ = ("parts",)
+
     def __init__(self, parts: tuple[int, ...] = ()) -> None:
         _set(self, "parts", parts)
         self.__post_init__()
@@ -168,6 +170,8 @@ class RimHook(_Value):
     Instances produced by ``removable_rim_hooks`` are pre-validated;
     ``remove_rim_hook`` re-validates against the partition it is applied to.
     """
+
+    __slots__ = ("boxes",)
 
     def __init__(self, boxes: tuple[Box, ...]) -> None:
         _set(self, "boxes", boxes)

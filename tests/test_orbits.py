@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import re
@@ -474,12 +475,32 @@ def test_enumerate_examples():
     assert count_st_cores(3, 4) == 5
 
 
-@pytest.mark.parametrize("s,t", [(2, 3), (2, 5), (3, 4), (3, 5), (4, 5), (5, 6), (4, 7)])
+@pytest.mark.parametrize("s,t", [
+    (2, 3), (2, 5), (3, 4), (3, 5), (4, 5), (5, 6), (4, 7), (7, 4), (3, 8), (2, 9), (5, 7), (6, 7),
+])
 def test_enumerate_against_both_oracles(s, t):
+    """Both orders of a pair, and walks of up to 132 cores.  The partition
+    filter lists every partition up to Kane's bound, which passes 35 boxes
+    only at (5, 7) and (6, 7), 48 and 70 boxes, too many to list in a test;
+    the rhomboid scan checks those two."""
     fast = enumerate_st_cores(s, t)
-    assert fast == brute_st_cores(s, t)
+    if (s * s - 1) * (t * t - 1) // 24 <= 35:
+        assert fast == brute_st_cores(s, t)
     assert fast == st_cores_by_difference_scan(s, t)
     assert len(fast) == anderson_count(s, t)
+
+
+def test_enumeration_listings_are_pinned():
+    """Every listing of a coprime pair 2 <= s, t <= 12, in both orders, as
+    lines "s t: parts", hashes to one pinned digest: a covers table or a wrap
+    that drops, repeats or reorders a core, at any of these pairs, shows here."""
+    digest = hashlib.sha256()
+    for s in range(2, 13):
+        for t in range(2, 13):
+            if math.gcd(s, t) == 1:
+                for core in enumerate_st_cores(s, t):
+                    digest.update(f"{s} {t}: {','.join(map(str, core.parts))}\n".encode())
+    assert digest.hexdigest() == "c551e60c7303ec7883b5b4d4662f64f7b451cde0e7c282c21e449dcc20b439b5"
 
 
 def test_enumeration_is_symmetric_in_s_and_t():
@@ -497,10 +518,10 @@ def test_enumeration_is_symmetric_in_s_and_t():
 def test_enumerated_cores_are_plain_partitions():
     """Each core is wrapped without its check, but is a Partition like any
     other: the one field, equality and hash."""
+    assert Partition.__slots__ == Partition._fields == ("parts",)
     for s, t in ((4, 9), (7, 5)):
         for core in enumerate_st_cores(s, t):
-            assert type(core) is Partition
-            assert vars(core) == {"parts": core.parts}
+            assert type(core) is Partition and not hasattr(core, "__dict__")
             assert core == Partition(core.parts)
             assert hash(core) == hash(Partition(core.parts))
 

@@ -2,10 +2,13 @@
 as ``Cls(field=value, ...)``, and checked once, where they are built."""
 
 import copy
+import importlib
 import pickle
+import pkgutil
 
 import pytest
 
+import stcores
 from stcores import errors
 from stcores.abacus import BetaSet, SSet
 from stcores.alcoves import AlcoveKey, Hyperplane, SPoint
@@ -37,7 +40,8 @@ def test_value_type_contract(text):
     cls = type(value)
     assert repr(value) == text
     fields = {name: getattr(value, name) for name in cls._fields}
-    assert vars(value) == fields
+    # the fields are the whole state: slots named by _fields, and no dict
+    assert not hasattr(value, "__dict__") and cls.__slots__ == cls._fields
     assert cls(**fields) == value and hash(cls(**fields)) == hash(value)
     for twin in (copy.copy(value), pickle.loads(pickle.dumps(value))):
         assert type(twin) is cls and twin == value and hash(twin) == hash(value)
@@ -48,13 +52,47 @@ def test_value_type_contract(text):
         delattr(value, name)
     with pytest.raises(AttributeError):
         value.extra = 1
-    assert vars(value) == fields
+    assert not hasattr(value, "__dict__")
+    assert {name: getattr(value, name) for name in cls._fields} == fields
     # another value class with the same fields and values is a different value
-    other_cls = type("Other", (errors._Value,), {"__init__": cls.__init__, "__post_init__": lambda self: None})
+    other_cls = type("Other", (errors._Value,), {
+        "__slots__": cls._fields, "__init__": cls.__init__, "__post_init__": lambda self: None,
+    })
     other = other_cls(**fields)
-    assert other._fields == cls._fields and vars(other) == fields
+    assert other._fields == cls._fields and not hasattr(other, "__dict__")
+    assert {name: getattr(other, name) for name in other._fields} == fields
     assert value != other and other != value
     assert value != tuple(fields.values())
+
+
+def test_every_value_class_is_slotted_and_covered():
+    """Every value class in the package, diagram's included, keeps exactly
+    its fields in slots, and each has a case in the contract test above."""
+    for info in pkgutil.iter_modules(stcores.__path__):
+        if info.name != "__main__":  # which runs the CLI
+            importlib.import_module(f"stcores.{info.name}")
+    classes, pending = set(), [errors._Value]
+    while pending:
+        for cls in pending.pop().__subclasses__():
+            if cls.__module__.startswith("stcores."):
+                classes.add(cls)
+                pending.append(cls)
+    for cls in classes:
+        assert cls.__slots__ == cls._fields, cls
+    assert classes == {type(value) for value in VALUES.values()}
+
+
+def test_unpickling_runs_the_check():
+    """A pickle rebuilds a value through its checked constructor, so one
+    whose arguments were tampered with is refused on load."""
+    class Tampered:
+        def __reduce__(self):
+            return Partition, ((2, 3),)
+
+    assert Partition((3, 2)).__reduce__() == (Partition, ((3, 2),))
+    data = pickle.dumps(Tampered())
+    with pytest.raises(errors.DomainError, match="weakly decreasing"):
+        pickle.loads(data)
 
 
 def test_partitions_sort_like_their_parts():
