@@ -85,7 +85,9 @@ def sset_to_text(q: SSet) -> str:
 
 def beta_set(p: Partition) -> BetaSet:
     """heads = (lambda_i - i) over the positive parts."""
-    return BetaSet(tuple(part - i for i, part in enumerate(p.parts, start=1)))
+    # weakly decreasing parts give strictly falling heads, and a last part >= 1
+    # keeps the last head, lambda_n - n, above the tail -(n+1), -(n+2), ...
+    return _trusted(BetaSet, heads=tuple(part - i for i, part in enumerate(p.parts, start=1)))
 
 
 def partition_from_beta_set(b: BetaSet) -> Partition:

@@ -124,9 +124,10 @@ def reflect_hyperplane(h: Hyperplane, r: Hyperplane, s: int) -> Hyperplane:
     a, shift_a = image.get(h.i, (h.i, 0))
     b, shift_b = image.get(h.j, (h.j, 0))
     k = h.k - shift_b + shift_a
-    if a < b:
-        return Hyperplane(a, b, k)
-    return Hyperplane(b, a, -k)
+    # the reflection maps indices one-to-one, so a != b, and the result is
+    # renormalised so that i < j
+    i, j, k = (a, b, k) if a < b else (b, a, -k)
+    return _trusted(Hyperplane, i=i, j=j, k=k)
 
 
 def separating_hyperplanes(p: SPoint, q: SPoint) -> list[Hyperplane]:
@@ -139,8 +140,9 @@ def separating_hyperplanes(p: SPoint, q: SPoint) -> list[Hyperplane]:
         a = p.coords[j - 1] - p.coords[i - 1]
         b = q.coords[j - 1] - q.coords[i - 1]
         lo, hi = min(a, b), max(a, b)
-        # strict ks in (lo, hi); endpoints are never multiples of s anyway
-        out.extend(Hyperplane(i, j, k) for k in range(lo // s + 1, (hi - 1) // s + 1))
+        # strict ks in (lo, hi); endpoints are never multiples of s anyway;
+        # combinations gives 1 <= i < j and range an int k, so each is a hyperplane
+        out.extend(_trusted(Hyperplane, i=i, j=j, k=k) for k in range(lo // s + 1, (hi - 1) // s + 1))
     return out
 
 

@@ -14,10 +14,14 @@ constructor, and a partition has no method that takes an index: it is read
 through its parts tuple.
 
 Values are checked once, where they enter; values derived from checked ones
-by a move that keeps the contract are built with ``_trusted``.
+by a move that keeps the contract are built with ``_trusted``, or, for a
+list of one-field values, with ``_trusted_many``; no other module builds a
+value unchecked.
 """
 
 import math
+from collections import deque
+from itertools import repeat
 from operator import attrgetter
 
 # Sizes and coordinates are kept inside 63-bit signed range so that results
@@ -144,22 +148,23 @@ _set = object.__setattr__
 
 
 class _Value:
-    """A frozen value whose fields are the parameters of its class's __init__.
+    """A frozen value whose fields are its class's own ``__slots__``.
 
     It equals only a value of its own class with equal fields, hashes
     alike, prints as ``Cls(field=value, ...)`` and refuses assignment and
-    deletion.  Each class declares its fields as its ``__slots__``, so an
-    instance holds them and nothing else; its own ``__init__`` sets them
-    through ``_set`` and then calls ``self.__post_init__()``, its check,
-    where it has one.  ``copy`` and ``pickle`` rebuild a value through that
-    ``__init__``, so an unpickled value is checked again.
+    deletion.  Each class declares its fields, in the order of its
+    ``__init__`` parameters, as its ``__slots__`` (a class without them fails
+    when it is defined), so an instance holds them and nothing else; its own
+    ``__init__`` sets them through ``_set`` and then calls
+    ``self.__post_init__()``, its check, where it has one.  ``copy`` and
+    ``pickle`` rebuild a value through that ``__init__``, so an unpickled
+    value is checked again.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
-        code = cls.__init__.__code__
-        cls._fields = code.co_varnames[1 : code.co_argcount]
+        cls._fields = cls.__dict__["__slots__"]
         key = attrgetter(*cls._fields)  # a closure cell, read faster than a class attribute
 
         def __eq__(self, other):
@@ -189,9 +194,21 @@ class _Value:
 def _trusted(cls, **fields):
     """cls(**fields) without its __post_init__ check, for values derived from
     checked ones by a move that keeps cls's contract; each caller names it.
-    Fields go into their slots through object.__setattr__, as each class's
-    own __init__ puts them."""
+    Fields go into their slots, the class's ``_fields``, through
+    object.__setattr__, as each class's own __init__ puts them; for a list of
+    values of a one-field class, ``_trusted_many`` does the same in bulk."""
     obj = _new(cls)
     for name, value in fields.items():
         _set(obj, name, value)
     return obj
+
+
+def _trusted_many(cls, values) -> list:
+    """[_trusted(cls, field=value) for value in values], for a class of one
+    field, under the same contract.  The instances are made in one ``map`` of
+    ``object.__new__`` and filled by a ``map`` of the field's slot setter, so
+    no Python frame runs per value."""
+    (name,) = cls._fields
+    objs = list(map(_new, repeat(cls, len(values))))
+    deque(map(cls.__dict__[name].__set__, objs, values), 0)
+    return objs

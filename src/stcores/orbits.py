@@ -23,14 +23,14 @@ from __future__ import annotations
 
 import math
 from bisect import insort
-from collections import defaultdict, deque
-from itertools import chain, combinations, repeat
+from collections import defaultdict
+from itertools import chain, combinations
 
 from .abacus import SSet, _partition_from_first_gaps, core_from_s_set, q_set, size_from_s_set
 from .alcoves import SPoint, _check_rhomboid, fold_to_dominant, in_rhomboid, tip
 from . import errors
-from .errors import DomainError, _Value, _set, _trusted, check_coords, check_count_bits, check_int, check_pair
-from .errors import check_scan, count_bits_below
+from .errors import DomainError, _Value, _set, _trusted, _trusted_many, check_coords, check_count_bits
+from .errors import check_int, check_pair, check_scan, count_bits_below
 from .partitions import Partition
 
 
@@ -327,9 +327,8 @@ def enumerate_st_cores(s: int, t: int) -> list[Partition]:
     of its parent, with h - n more boxes.  Each core goes into a bucket of
     its size; the buckets, each sorted, are read in ascending size into one
     list of rows, so no (size, parts) pair is built and no sort runs across
-    sizes.  The rows are wrapped unchecked: the cores are made in one
-    ``map`` of ``object.__new__`` and filled by a ``map`` of the ``parts``
-    slot's setter, so no Python frame runs per core.
+    sizes.  The rows are wrapped unchecked, all at once, by
+    ``errors._trusted_many``, so no Python frame runs per core.
 
     The work is priced on the output alone, by ``_enumeration_work``.
     """
@@ -361,9 +360,7 @@ def enumerate_st_cores(s: int, t: int) -> list[Partition]:
                 stack.append((above, ideal | 1 << h, child, child_size))
     rows = list(chain.from_iterable(sorted(by_size[boxes]) for boxes in sorted(by_size)))
     # the rows h_i - (n - i) of an ideal of gaps: the parts of an (s,t)-core
-    cores = list(map(object.__new__, repeat(Partition, len(rows))))
-    deque(map(Partition.parts.__set__, cores, rows), 0)
-    return cores
+    return _trusted_many(Partition, rows)
 
 
 class ContainmentChain(_Value):
@@ -454,13 +451,11 @@ def containment_chain(p: SPoint, s: int, t: int) -> ContainmentChain:
         abs((goal[b] - goal[a]) // s - (coords[b] - coords[a]) // s) for a, b in combinations(range(s), 2)
     )
     check_scan(remaining * (s + (s - 1) * t), f"gallery walk across {remaining} walls")
-    points = [q]
-    cores = [_partition_from_first_gaps(q.coords, s)]
-    parts = list(cores[0].parts)
+    points, cores = [q.coords], [_partition_from_first_gaps(q.coords, s).parts]
+    parts = list(cores[0])
     runners: list[list[int]] = [[] for _ in range(s)]  # rows of each runner's beads, top last
     for k in range(len(parts) - 1, -1, -1):
         runners[(parts[k] - k - 1) % s].append(k)
-    new, put = object.__new__, object.__setattr__
     gens: list[int] = []
     add_point, add_core, add_gen = points.append, cores.append, gens.append
     i = 0
@@ -470,18 +465,17 @@ def containment_chain(p: SPoint, s: int, t: int) -> ContainmentChain:
             if step * (b - a) < coords[b] - coords[a] - 1:
                 break
         else:
-            raise RuntimeError(f"no generator separates {q} from {target}; walk is stuck")
+            raise RuntimeError(f"no generator separates {_trusted(SPoint, coords=points[-1])} from {target}; "
+                               "walk is stuck")
         x, y = coords[a], coords[b]
         moved = (x - y + 1) // s  # the beads x-s, ..., y-1; y - x - 1 = -moved*s
         if moved < 0:
-            raise RuntimeError(f"gallery step {i} at {q} shrinks the core, against Lemma 5.3")
+            raise RuntimeError(f"gallery step {i} at {_trusted(SPoint, coords=points[-1])} shrinks the core, "
+                               "against Lemma 5.3")
         coords[a] = x + 1
         coords[b] = y - 1
         position[i - 1], position[i] = b, a
-        # chi_1 keeps classes and sum; at most wall-count unit moves keep the bound
-        q = new(SPoint)
-        put(q, "coords", tuple(coords))
-        add_point(q)
+        add_point(tuple(coords))
         top = runners[i]
         if y - 1 == -len(parts) - 1:  # the top tail bead: a new last row
             top.append(len(parts))
@@ -493,14 +487,14 @@ def containment_chain(p: SPoint, s: int, t: int) -> ContainmentChain:
                 parts[k] += 1
                 top.append(k)
             del rows[-moved:]
-        # the bead moves keep the charge-0 abacus of a Young diagram
-        lam = new(Partition)
-        put(lam, "parts", tuple(parts))
-        add_core(lam)
+        add_core(tuple(parts))
         add_gen(i)
         i = i - 1 if 0 < i < s - 1 else 0
-    if q != target:
-        raise RuntimeError(f"gallery walk ended at {q}, not at the tip {target}")
+    if points[-1] != goal:
+        raise RuntimeError(f"gallery walk ended at {_trusted(SPoint, coords=points[-1])}, not at the tip {target}")
+    # chi_1 keeps classes and sum, and at most wall-count unit moves keep the
+    # bound; the bead moves keep the charge-0 abacus of a Young diagram
+    points, cores = _trusted_many(SPoint, points), _trusted_many(Partition, cores)
     return ContainmentChain(points=tuple(points), cores=tuple(cores), gens=tuple(gens))
 
 

@@ -45,6 +45,14 @@ def test_beta_set_examples():
     assert beta_set(P(5, 2, 2, 1)).heads == (4, 0, -1, -3)
 
 
+def test_beta_sets_are_valid_beta_sets():
+    """beta_set builds its value unchecked; every one of a partition of at
+    most 12 boxes passes the check and rebuilds equal."""
+    for p in partitions_up_to(12):
+        b = beta_set(p)
+        assert BetaSet(b.heads) == b
+
+
 def test_partition_from_beta_set_examples():
     assert partition_from_beta_set(BetaSet((5, 4, -1, -3))) == P(6, 6, 2, 1)
     assert partition_from_beta_set(BetaSet(())) == P()

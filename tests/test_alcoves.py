@@ -119,6 +119,34 @@ def test_separating_hyperplanes_examples():
                 h = Hyperplane(i, j, k)
                 if side_of(q, h) != side_of(r, h):
                     assert h in seps
+    with pytest.raises(DomainError, match="points live in different spaces"):
+        separating_hyperplanes(origin(3), origin(4))
+
+
+def _rebuilt(h: Hyperplane) -> Hyperplane:
+    """h through its checked constructor, which refuses i < 1, j <= i or a non-int."""
+    return Hyperplane(h.i, h.j, h.k)
+
+
+def test_separating_hyperplanes_are_valid_hyperplanes():
+    """The walls are built unchecked; each passes the check and rebuilds equal."""
+    rng = random.Random(34)
+    for s in range(2, 9):
+        for _ in range(20):
+            p, q = random_s_point(rng, s), random_s_point(rng, s)
+            for h in separating_hyperplanes(p, q):
+                assert _rebuilt(h) == h
+
+
+def test_reflected_hyperplanes_are_valid_hyperplanes():
+    """Every image of a hyperplane of P^s, s <= 6 and |k| <= 2, is built
+    unchecked; each passes the check and rebuilds equal."""
+    for s in range(2, 7):
+        planes = [Hyperplane(i, j, k) for i in range(1, s + 1) for j in range(i + 1, s + 1) for k in range(-2, 3)]
+        for h in planes:
+            for r in planes:
+                image = reflect_hyperplane(h, r, s)
+                assert _rebuilt(image) == image and image.j <= s
 
 
 def test_alcove_key_examples():

@@ -949,6 +949,19 @@ def test_chain_raises_on_a_shrinking_step(monkeypatch):
         containment_chain(tip(3, 4), 3, 4)
 
 
+@pytest.mark.parametrize("aim, message", [
+    ((-9, -8, 20), r"no generator separates \(0,1,2\) from \(-9,-8,20\); walk is stuck"),
+    ((-9, 4, 8), r"gallery walk ended at \(-7,0,10\), not at the tip \(-9,4,8\)"),
+], ids=["stuck", "off-tip"])
+def test_chain_raises_when_aimed_away_from_the_tip(aim, message, monkeypatch):
+    """Aimed at a point that is not the tip, the walk from the origin either
+    finds no generator to take or ends elsewhere; each raises, naming the
+    point the walk stands at."""
+    monkeypatch.setattr(orbits, "tip", lambda s, t: SPoint(aim))
+    with pytest.raises(RuntimeError, match=message):
+        containment_chain(origin(3), 3, 4)
+
+
 def test_chain_is_refused_beyond_its_cap():
     """Refused before the walk: 10,660 walls from the origin at (40, 41), with
     cores of span up to 1,599, and 12,497,500 pairs to count at (5000, 1)."""

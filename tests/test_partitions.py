@@ -7,6 +7,7 @@ from stcores import DomainError
 from stcores.partitions import (
     Box,
     Partition,
+    RimHook,
     addable_boxes,
     boxes_of_residue,
     brute_core,
@@ -108,10 +109,16 @@ def test_remove_rim_hook_examples():
     # (2,2) is a 4-core (hooks 3,2,2,1): no rim 4-hook, nothing to remove
     assert removable_rim_hooks(P(2, 2), 4) == []
     (four_hook,) = removable_rim_hooks(P(2, 1, 1), 4)
+    assert len(four_hook) == 4
     assert remove_rim_hook(P(2, 1, 1), four_hook) == P()
 
     with pytest.raises(DomainError):
         remove_rim_hook(P(3), four_hook)
+    # boxes of (2,2) that fit it, but not as a hook: a diagonal jump, and a whole top row
+    with pytest.raises(DomainError, match="hook boxes are not consecutive along the rim"):
+        remove_rim_hook(P(2, 2), RimHook((Box(1, 2), Box(2, 1))))
+    with pytest.raises(DomainError, match="removing the hook does not leave a Young diagram"):
+        remove_rim_hook(P(2, 2), RimHook((Box(1, 2), Box(1, 1))))
 
 
 def test_brute_core_examples():
@@ -244,3 +251,4 @@ def test_row_reads_equal_the_row_wise_definitions():
 
 def test_a_partition_is_read_through_its_parts_alone():
     assert not hasattr(Partition, "row")
+    assert list(P(3, 1)) == [3, 1] and len(P(3, 1)) == 2

@@ -3,6 +3,7 @@ as ``Cls(field=value, ...)``, and checked once, where they are built."""
 
 import copy
 import importlib
+import pathlib
 import pickle
 import pkgutil
 
@@ -116,7 +117,8 @@ def test_partitions_sort_like_their_parts():
 ], ids=["Partition", "SSet", "SPoint"])
 def test_a_patched_check_runs_on_construction_and_not_on_trusted_builds(cls, fields, monkeypatch):
     """A class-level patch of __post_init__, as a build counter installs it,
-    sees every checked construction and no ``_trusted`` one."""
+    sees every checked construction and no ``_trusted`` or ``_trusted_many``
+    one."""
     seen = []
     original = cls.__dict__["__post_init__"]
 
@@ -129,3 +131,24 @@ def test_a_patched_check_runs_on_construction_and_not_on_trusted_builds(cls, fie
     assert seen == [built]
     assert errors._trusted(cls, **fields) == built
     assert seen == [built]
+    if len(fields) == 1:  # _trusted_many builds values of one field
+        (value,) = fields.values()
+        many = errors._trusted_many(cls, [value, value])
+        assert many == [built, built] and {type(twin) for twin in many} == {cls}
+        assert errors._trusted_many(cls, []) == []
+        assert seen == [built]
+    else:
+        with pytest.raises(ValueError):
+            errors._trusted_many(cls, [tuple(fields.values())])
+
+
+def test_values_are_built_unchecked_in_errors_alone():
+    """No module but errors builds an object past its constructor, and the
+    fields of a value class are read from its own slots, not its code."""
+    for path in pathlib.Path(stcores.__file__).parent.glob("*.py"):
+        text = path.read_text(encoding="utf-8")
+        assert "__code__" not in text, path.name
+        if path.name != "errors.py":
+            assert "object.__new__" not in text and "object.__setattr__" not in text, path.name
+    with pytest.raises(KeyError, match="__slots__"):
+        type("Unslotted", (errors._Value,), {"__init__": Partition.__init__})
