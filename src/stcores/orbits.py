@@ -22,7 +22,6 @@ The crucial facts shaped into algorithms here:
 from __future__ import annotations
 
 import math
-from bisect import insort
 from collections import defaultdict
 from itertools import chain, combinations
 
@@ -312,11 +311,12 @@ def enumerate_st_cores(s: int, t: int) -> list[Partition]:
     its largest hook.  A gap h may join once h-s and h-t are each not a gap
     or already in; a positive h-s or h-t is itself a gap, so the minimal gaps
     are those below min(s, t), and any other gap becomes addable when its
-    last lower cover joins.  Each node keeps its addable gaps above its
-    largest hook, ascending, and its ideal as a bit mask (bit 0 for every
-    h <= 0): a child at h keeps those above h and gains, by bisection, its
-    cover h + min(s, t) if that is a gap whose other lower cover,
-    h - |s - t|, has its bit set.  The other cover, h + max(s, t), cannot
+    last lower cover joins.  Each node keeps two bit masks, bit h for gap h:
+    its ideal (bit 0 for every h <= 0) and its addable gaps above its largest
+    hook.  Its children are read lowest bit first (``m & -m``), and a child at
+    h keeps the addable bits above h and gains the bit of its cover
+    h + min(s, t) if that is a gap whose other lower cover, h - |s - t|, has
+    its bit set in the ideal.  The other cover, h + max(s, t), cannot
     join there, as its other lower cover h + |s - t| lies above h, the
     child's largest hook; it joins from the node of h + |s - t|, as that
     gap's cover.
@@ -339,26 +339,28 @@ def enumerate_st_cores(s: int, t: int) -> list[Partition]:
     for a in range(0, top + 1, s):
         for b in range(a, top + 1, t):
             in_semigroup[b] = 1
-    # for each gap h, its cover h + step with that cover's other lower cover's bit, or (0, 0)
+    # for each gap h, the bit of its cover h + step and of that cover's other lower cover, or (0, 0)
     step, lag = min(s, t), abs(s - t)
-    covers = [(h + step, 1 << max(h - lag, 0)) if h + step <= top and not in_semigroup[h + step] else (0, 0)
-              for h in range(top + 1)]
+    covers = [(1 << (h + step), 1 << max(h - lag, 0)) if h + step <= top and not in_semigroup[h + step]
+              else (0, 0) for h in range(top + 1)]
     # keyed sparsely: Kane's bound on the sizes, (s^2-1)(t^2-1)/24, can far exceed the cores' count
     by_size = defaultdict(list, {0: [()]})
-    stack = [(list(range(1, step)), 1, (), 0)]  # the minimal gaps
+    # each entry: addable mask, ideal mask, parts, and size - len(parts), so a child at h has size base + h
+    stack = [((1 << step) - 2, 1, (), 0)]  # the minimal gaps, 1 .. step - 1
     while stack:
-        addable, ideal, parts, size = stack.pop()
+        m, ideal, parts, base = stack.pop()
         n = len(parts)
-        for k, h in enumerate(addable, start=1):
-            child, child_size = (h - n,) + parts, size + h - n
-            by_size[child_size].append(child)
-            above = addable[k:]
+        while m:
+            low = m & -m
+            m ^= low
+            h = low.bit_length() - 1
+            child = (h - n,) + parts
+            by_size[base + h].append(child)
             c, other = covers[h]
-            if ideal & other:
-                insort(above, c)
+            above = m | c if ideal & other else m
             if above:
-                stack.append((above, ideal | 1 << h, child, child_size))
-    rows = list(chain.from_iterable(sorted(by_size[boxes]) for boxes in sorted(by_size)))
+                stack.append((above, ideal | low, child, base + h - n - 1))
+    rows = list(chain.from_iterable(map(sorted, map(by_size.__getitem__, sorted(by_size)))))
     # the rows h_i - (n - i) of an ideal of gaps: the parts of an (s,t)-core
     return _trusted_many(Partition, rows)
 

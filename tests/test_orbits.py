@@ -46,7 +46,7 @@ from stcores.orbits import (
     residue_multiset,
     same_level_t_orbit,
 )
-from stcores.partitions import Partition, contains, is_s_core_by_hooks, partitions_up_to, size
+from stcores.partitions import Partition, conjugate, contains, is_s_core_by_hooks, partitions_up_to, size
 from stcores.verify import random_s_core, random_s_point
 
 
@@ -513,6 +513,39 @@ def test_enumeration_is_symmetric_in_s_and_t():
                 cores = enumerate_st_cores(s, t)
                 assert cores == enumerate_st_cores(t, s), (s, t)
                 assert [(size(c), c.parts) for c in cores] == sorted((size(c), c.parts) for c in cores), (s, t)
+
+
+def test_enumeration_is_closed_under_conjugation_and_meets_its_counts():
+    """At every coprime 2 <= s < t <= 11 the listing is closed under
+    conjugation (read by the slow partitions.conjugate, independent of the
+    walk), holds C(s//2 + t//2, s//2) self-conjugate cores (Ford-Mai-Sze
+    2009), and sums to count*(s+t+1)(s-1)(t-1)/24 boxes (the
+    Armstrong-Hanusa-Jones mean, proved by Johnson 2018)."""
+    for s in range(2, 12):
+        for t in range(s + 1, 12):
+            if math.gcd(s, t) == 1:
+                cores = enumerate_st_cores(s, t)
+                flipped = [conjugate(c) for c in cores]
+                assert set(flipped) == set(cores), (s, t)
+                self_conjugate = sum(f == c for f, c in zip(flipped, cores))
+                assert self_conjugate == math.comb(s // 2 + t // 2, s // 2), (s, t)
+                assert 24 * sum(map(size, cores)) == len(cores) * (s + t + 1) * (s - 1) * (t - 1), (s, t)
+
+
+@pytest.mark.parametrize("s,t", [(11, 13), (13, 11), (2, 4471)])
+def test_wide_mask_enumerations_meet_their_closed_forms(s, t):
+    """Pairs past the pinned digest, whose walks run on masks of 120 and
+    4,468 bits: Anderson's count, the Armstrong-Hanusa-Jones total size, and
+    Kane's size (s^2-1)(t^2-1)/24 for the last core, the largest."""
+    cores = enumerate_st_cores(s, t)
+    n = len(cores)
+    assert n == anderson_count(s, t)
+    assert 24 * sum(map(size, cores)) == n * (s + t + 1) * (s - 1) * (t - 1)
+    assert 24 * size(cores[-1]) == (s * s - 1) * (t * t - 1)
+
+
+def test_wide_mask_enumeration_is_symmetric_in_s_and_t():
+    assert enumerate_st_cores(11, 13) == enumerate_st_cores(13, 11)
 
 
 def test_enumerated_cores_are_plain_partitions():
