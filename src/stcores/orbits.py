@@ -316,7 +316,9 @@ def enumerate_st_cores(s: int, t: int) -> list[Partition]:
     hook.  Its children are read lowest bit first (``m & -m``), and a child at
     h keeps the addable bits above h and gains the bit of its cover
     h + min(s, t) if that is a gap whose other lower cover, h - |s - t|, has
-    its bit set in the ideal.  The other cover, h + max(s, t), cannot
+    its bit set in the ideal (the cover was not addable before, as h was not
+    in).  Each stack entry carries the node's size less its row count, so a
+    child's size is one addition.  The other cover, h + max(s, t), cannot
     join there, as its other lower cover h + |s - t| lies above h, the
     child's largest hook; it joins from the node of h + |s - t|, as that
     gap's cover.
@@ -345,7 +347,7 @@ def enumerate_st_cores(s: int, t: int) -> list[Partition]:
               else (0, 0) for h in range(top + 1)]
     # keyed sparsely: Kane's bound on the sizes, (s^2-1)(t^2-1)/24, can far exceed the cores' count
     by_size = defaultdict(list, {0: [()]})
-    # each entry: addable mask, ideal mask, parts, and size - len(parts), so a child at h has size base + h
+    # each entry: addable mask, ideal mask, parts, size - len(parts)
     stack = [((1 << step) - 2, 1, (), 0)]  # the minimal gaps, 1 .. step - 1
     while stack:
         m, ideal, parts, base = stack.pop()

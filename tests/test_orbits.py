@@ -506,13 +506,14 @@ def test_enumeration_listings_are_pinned():
 def test_enumeration_is_symmetric_in_s_and_t():
     """The (s,t)- and (t,s)-cores are one set, listed in one (size, parts)
     order, whichever of s and t is larger; the pairs include cores of many
-    sizes with many cores each."""
+    sizes with many cores each, and (11, 13), past the pinned digest."""
     for s in range(2, 13):
         for t in range(s + 1, 13):
             if math.gcd(s, t) == 1:
                 cores = enumerate_st_cores(s, t)
                 assert cores == enumerate_st_cores(t, s), (s, t)
                 assert [(size(c), c.parts) for c in cores] == sorted((size(c), c.parts) for c in cores), (s, t)
+    assert enumerate_st_cores(11, 13) == enumerate_st_cores(13, 11)
 
 
 def test_enumeration_is_closed_under_conjugation_and_meets_its_counts():
@@ -535,17 +536,13 @@ def test_enumeration_is_closed_under_conjugation_and_meets_its_counts():
 @pytest.mark.parametrize("s,t", [(11, 13), (13, 11), (2, 4471)])
 def test_wide_mask_enumerations_meet_their_closed_forms(s, t):
     """Pairs past the pinned digest, whose walks run on masks of 120 and
-    4,468 bits: Anderson's count, the Armstrong-Hanusa-Jones total size, and
+    4,470 bits: Anderson's count, the Armstrong-Hanusa-Jones total size, and
     Kane's size (s^2-1)(t^2-1)/24 for the last core, the largest."""
     cores = enumerate_st_cores(s, t)
     n = len(cores)
     assert n == anderson_count(s, t)
     assert 24 * sum(map(size, cores)) == n * (s + t + 1) * (s - 1) * (t - 1)
     assert 24 * size(cores[-1]) == (s * s - 1) * (t * t - 1)
-
-
-def test_wide_mask_enumeration_is_symmetric_in_s_and_t():
-    assert enumerate_st_cores(11, 13) == enumerate_st_cores(13, 11)
 
 
 def test_enumerated_cores_are_plain_partitions():
