@@ -16,7 +16,9 @@ The crucial facts shaped into algorithms here:
 * from any rhomboid point there is a gallery walk to the rhomboid tip that
   only crosses hyperplanes separating the start from the tip, along which the
   associated cores grow weakly - a constructive proof that the tip's core
-  contains every (s,t)-core.
+  contains every (s,t)-core; with pos_k the position of the class-k
+  coordinate, the walk is the descent's sort, with period s, of the vector
+  c_k = k - p[pos_k] + t pos_k.
 """
 
 from __future__ import annotations
@@ -142,6 +144,10 @@ def descend_to_t_core(lam: Partition, s: int, t: int) -> tuple[Partition, OrbitD
 
 def _sort_descent(c: list[int], st: int) -> list[int]:
     """The greedy word of ``descend_to_t_core``, sorting c in place.
+
+    It has two callers: the descent, with period st, and
+    ``containment_chain``, with period s, whose gallery walk is the same
+    sort of its class-ordered vector c_k = k - p[pos_k] + t pos_k.
 
     The greedy scan does not restart at 0 after a move.  It keeps the
     invariant that no generator below the scan position improves, i.e.
@@ -389,53 +395,54 @@ def containment_chain(p: SPoint, s: int, t: int) -> ContainmentChain:
     separating hyperplane lies between the current point and the tip.  Each
     crossed wall therefore separated the original point from the tip, so it
     meets the rhomboid, so the origin sits on the current point's side, and
-    the cores along the walk grow weakly.  The count of separating walls
-    drops by exactly one per step, which forces termination at the tip.
+    the cores along the walk grow weakly.
 
-    The wall of a generator is found in closed form.  Level-1 generator i
-    adds 1 to the coordinate x = i-1 (mod s), at position a, and subtracts 1
-    from the coordinate y = i (mod s), at position b; since y - x - 1 is a
-    multiple ks of s, the one wall it crosses is p_b - p_a = ks, with the
-    current point on its positive side.  That wall separates the point from
-    the tip exactly when tip_b - tip_a < ks, and the tip's gaps all equal t,
-    so tip_b - tip_a = t(b - a).  The number of walls between a point and
-    the tip is the sum over pairs a < b of
-    |floor((tip_b - tip_a)/s) - floor((p_b - p_a)/s)|; it is computed once.
-    A step moves the floor of the pair (a, b) by exactly one and no other:
-    for any other position n, p_n - p_a and p_n - p_b move by 1, and could
-    cross a multiple of s only if p_n shared a class with x or y.  With
-    y - x - 1 = -Ms, the pair's floor is -M before the move and -M-1 after,
-    and the step's test t(b - a) < -Ms puts the tip's floor at most -M-1:
-    so each step removes exactly one separating wall, and none needs a
-    recount.
+    Level-1 generator i adds 1 to the coordinate x = i-1 (mod s), at
+    position a, and subtracts 1 from y = i (mod s), at position b.  With
+    y - x - 1 = ks, its one wall is p_b - p_a = ks, and that wall separates
+    the point from the tip, whose gaps all equal t, iff t(b - a) < ks.  The
+    move takes floor((p_b - p_a)/s) from k to k-1 for the pair (a, b) and
+    moves no other pair's floor, as no other p_n shares a class with x or y;
+    with the tip's floor at most k-1, it removes exactly one of the
+    sum over a < b of |floor(t(b - a)/s) - floor((p_b - p_a)/s)| walls
+    between the point and the tip.
 
-    The scan does not restart at 0.  It keeps the invariant that no
-    generator below the scan position qualifies.  A move at i changes only
-    classes i-1 and i, hence only the status of generators i-1, i and i+1
-    (mod s); so the scan resumes at i-1, except that a move at 0 (which
-    touches generator s-1) or at s-1 (which touches generator 0) sends it
-    back to 0.  The first generator it meets is the smallest that qualifies.
+    The walk is the descent's sort with period s.  With pos_k the position
+    of the class-k coordinate, put c_k = k - p[pos_k] + t pos_k.  For i >= 1,
+    c_i - c_(i-1) = t(b - a) - (p_b - p_a - 1): generator i qualifies iff
+    c_i < c_(i-1), and its move (y - 1 of class i-1 to b, x + 1 of class i
+    to a) swaps the two.  Generator 0 pairs class s-1, at a, with class 0,
+    at b, and c_0 - c_(s-1) + s is the same difference: it qualifies iff
+    c_0 < c_(s-1) - s, and its move sets c_0, c_(s-1) to c_(s-1) - s,
+    c_0 + s.  So the greedy word is ``_sort_descent(c, s)``, and its length
+    is the wall count.  The sort always ends, so a walk that stops short of
+    the tip shows as one that ends away from it.
 
-    Every caller reads the cores (``chain`` prints them, ``verify`` and the
-    tests compare them), so they stay eager.  Only the start core is built
-    from its first gaps, a span of at most (s-1)t since the walk stays in
-    the rhomboid; every later core is the one before it, grown in place.
-    Row k's bead lambda_k - k lies on runner (lambda_k - k) mod s, and each
-    runner keeps the rows of its beads above the tail, top last.  A step
-    moves the class-(i-1) gap x to x+1 and the class-i gap y to y-1, which
-    swaps the two runners: the M = (x - y + 1)/s beads x-s, ..., x-Ms = y-1
-    leave the top of runner i-1 and go, one place up, on top of runner i.
-    Each keeps its rank, so its row gains one box; the one exception is the
-    top tail bead -(n+1), n the number of rows, which becomes a new last row
-    of length 1.  So a step costs its scan, O(1) per moved bead and one
-    tuple copy of the rows.  Walking from the origin, a step takes about
-    3 us at s = 7..10, 3.5 us at (13, 14), 5.5 us at (20, 21) and 8 us at
-    (30, 31) (Python 3.11, 2-CPU x86 box).
+    The walk is priced before the sort.  At a rhomboid point
+    1 <= p_b - p_a <= t(b - a), so no walk is longer than the origin's,
+    W0 = sum over d = 1..s-1 of (s - d) floor(td/s).  A step moves at most t
+    beads and copies a core of span at most (s-1)t; only when W0 such steps
+    pass MAX_SCAN are the walls counted pair by pair, in O(s^2), and the
+    walk is refused iff that count passes the cap.
 
-    If no generator ever qualifies before the tip is reached, or a step
-    shrinks the core (x < y-1, against Lemma 5.3), or the walk ends away
-    from the tip, the construction itself is falsified, so those states
-    raise rather than being patched over.
+    The word is then replayed once.  Every caller reads the cores (``chain``
+    prints them, ``verify`` and the tests compare them), so they stay eager.
+    Only the start core is built from its first gaps, a span of at most
+    (s-1)t; every later core is the one before it, grown in place.  Row k's
+    bead lambda_k - k lies on runner (lambda_k - k) mod s, and each runner
+    keeps the rows of its beads above the tail, top last.  A step swaps
+    runners i-1 and i: the M = (x - y + 1)/s beads x-s, ..., x-Ms = y-1 leave
+    the top of runner i-1 and go, one place up, on top of runner i.  Each
+    keeps its rank, so its row gains one box; the one exception is the top
+    tail bead -(n+1), n the number of rows, which becomes a new last row of
+    length 1.  So a step costs O(1) amortised in the sort, O(1) per moved
+    bead and one tuple copy of the rows.  Walking from the origin, a step
+    takes about 1.1 us at s = 7..10, 1.3 us at (13, 14), 1.9 us at (20, 21)
+    and 3.4 us at (30, 31) (Python 3.11, 2-CPU x86 box).
+
+    A step that shrinks the core (x < y-1, against Lemma 5.3), or a walk that
+    ends away from the tip, falsifies the construction itself, so each raises
+    rather than being patched over.
     """
     check_pair(s, t)
     if p.s != s:
@@ -448,29 +455,22 @@ def containment_chain(p: SPoint, s: int, t: int) -> ContainmentChain:
     step = goal[1] - goal[0]  # t: the tip is the progression of step t
     coords = list(q.coords)
     position = sorted(range(s), key=lambda n: coords[n] % s)  # index of each class
-    # the wall count looks at every pair once; then each step scans at most s
-    # generators, moves at most t beads and copies a core of span at most (s-1)t
-    check_scan(s * (s - 1) // 2, "wall count")
-    remaining = sum(
-        abs((goal[b] - goal[a]) // s - (coords[b] - coords[a]) // s) for a, b in combinations(range(s), 2)
-    )
-    check_scan(remaining * (s + (s - 1) * t), f"gallery walk across {remaining} walls")
+    check_scan(s * (s - 1) // 2, "wall count")  # the pairs of the exact count
+    per_step = s + (s - 1) * t  # the sort's share, at most t moved beads, a core of span (s-1)t
+    if sum((s - d) * (t * d // s) for d in range(1, s)) * per_step > errors.MAX_SCAN:  # the origin's walls
+        remaining = sum(
+            abs((goal[b] - goal[a]) // s - (coords[b] - coords[a]) // s) for a, b in combinations(range(s), 2)
+        )
+        check_scan(remaining * per_step, f"gallery walk across {remaining} walls")
+    gens = _sort_descent([k - coords[n] + step * n for k, n in enumerate(position)], s)
     points, cores = [q.coords], [_partition_from_first_gaps(q.coords, s).parts]
     parts = list(cores[0])
     runners: list[list[int]] = [[] for _ in range(s)]  # rows of each runner's beads, top last
     for k in range(len(parts) - 1, -1, -1):
         runners[(parts[k] - k - 1) % s].append(k)
-    gens: list[int] = []
-    add_point, add_core, add_gen = points.append, cores.append, gens.append
-    i = 0
-    for _ in range(remaining):  # one step per wall
-        for i in range(i, s):
-            a, b = position[i - 1], position[i]
-            if step * (b - a) < coords[b] - coords[a] - 1:
-                break
-        else:
-            raise RuntimeError(f"no generator separates {_trusted(SPoint, coords=points[-1])} from {target}; "
-                               "walk is stuck")
+    add_point, add_core = points.append, cores.append
+    for i in gens:
+        a, b = position[i - 1], position[i]
         x, y = coords[a], coords[b]
         moved = (x - y + 1) // s  # the beads x-s, ..., y-1; y - x - 1 = -moved*s
         if moved < 0:
@@ -492,8 +492,6 @@ def containment_chain(p: SPoint, s: int, t: int) -> ContainmentChain:
                 top.append(k)
             del rows[-moved:]
         add_core(tuple(parts))
-        add_gen(i)
-        i = i - 1 if 0 < i < s - 1 else 0
     if points[-1] != goal:
         raise RuntimeError(f"gallery walk ended at {_trusted(SPoint, coords=points[-1])}, not at the tip {target}")
     # chi_1 keeps classes and sum, and at most wall-count unit moves keep the

@@ -980,13 +980,14 @@ def test_chain_raises_on_a_shrinking_step(monkeypatch):
 
 
 @pytest.mark.parametrize("aim, message", [
-    ((-9, -8, 20), r"no generator separates \(0,1,2\) from \(-9,-8,20\); walk is stuck"),
-    ((-9, 4, 8), r"gallery walk ended at \(-7,0,10\), not at the tip \(-9,4,8\)"),
+    ((-9, -8, 20), r"^gallery walk ended at \(0,1,2\), not at the tip \(-9,-8,20\)$"),
+    ((-9, 4, 8), r"^gallery walk ended at \(-12,1,14\), not at the tip \(-9,4,8\)$"),
 ], ids=["stuck", "off-tip"])
 def test_chain_raises_when_aimed_away_from_the_tip(aim, message, monkeypatch):
-    """Aimed at a point that is not the tip, the walk from the origin either
-    finds no generator to take or ends elsewhere; each raises, naming the
-    point the walk stands at."""
+    """Aimed at a point that is not the tip, the walk from the origin ends
+    elsewhere: where it started, with no generator to take, or after some
+    steps.  The sort always ends, so each raises at the end of the walk,
+    naming the point the walk stands at."""
     monkeypatch.setattr(orbits, "tip", lambda s, t: SPoint(aim))
     with pytest.raises(RuntimeError, match=message):
         containment_chain(origin(3), 3, 4)
@@ -999,3 +1000,59 @@ def test_chain_is_refused_beyond_its_cap():
         containment_chain(origin(40), 40, 41)
     with pytest.raises(DomainError, match="wall count"):
         containment_chain(origin(5000), 5000, 1)
+
+
+def _pairwise_walls(p, s, t):
+    """The walls between a dominant point and the tip, pair by pair: the
+    sum over a < b of |floor(t(b - a)/s) - floor((p_b - p_a)/s)|."""
+    goal, coords = tip(s, t).coords, p.coords
+    return sum(abs((goal[b] - goal[a]) // s - (coords[b] - coords[a]) // s) for a, b in combinations(range(s), 2))
+
+
+def _origin_walls(s, t):
+    """W0 = sum over d = 1..s-1 of (s - d) floor(td/s)."""
+    return sum((s - d) * (t * d // s) for d in range(1, s))
+
+
+def test_chain_length_is_the_pairwise_wall_count():
+    """The walk's word is the sort of the class-ordered vector, one wall per
+    step: its length is the pairwise wall count, on seeded rhomboid points
+    at s = 7..30, and never more than the origin's count W0."""
+    for s in range(7, 31):
+        for t in (s + 1, s + 2):
+            if math.gcd(s, t) == 1:
+                rng = random.Random(f"walls:{s}:{t}")
+                for _ in range(3):
+                    p = fold_to_dominant(_seeded_rhomboid_point(rng, s, t))
+                    walls = _pairwise_walls(p, s, t)
+                    assert len(containment_chain(p, s, t)) == walls <= _origin_walls(s, t), (s, t, p)
+
+
+def test_chain_from_origin_crosses_the_origins_walls():
+    """From the origin every pair a < b sits one apart per step, so the walk
+    crosses W0 walls, at every coprime pair with s <= 30 and t < 40."""
+    for s in range(2, 31):
+        for t in range(1, 40):
+            if math.gcd(s, t) == 1:
+                assert len(containment_chain(origin(s), s, t)) == _origin_walls(s, t), (s, t)
+
+
+def test_chain_counts_walls_exactly_beyond_the_origins_price():
+    """At (40, 41) the origin's 10,660 walls pass the cap, so the walls are
+    counted pair by pair: a seeded point near the tip is walked, and its cores
+    are the cores of its points, while the origin is refused."""
+    s, t = 40, 41
+    assert _origin_walls(s, t) == 10660
+    assert _origin_walls(s, t) * (s + (s - 1) * t) > errors.MAX_SCAN
+    rng = random.Random("near-tip:40:41")
+    m = rng.randrange(1, s)
+    # the tip with its gap at m narrowed from t to t - s = 1, shifted back to sum s(s-1)/2:
+    # only the m(s - m) pairs across the gap move their floor, by one each
+    p = SPoint(tuple(x + s - m - s * (j >= m) for j, x in enumerate(tip(s, t).coords)))
+    assert in_rhomboid(p, t)
+    chain = containment_chain(p, s, t)
+    assert len(chain) == _pairwise_walls(p, s, t) == m * (s - m)
+    assert chain.points[-1] == tip(s, t)
+    _assert_cores_are_rebuilt_cores(chain)
+    with pytest.raises(DomainError, match="^gallery walk across 10660 walls"):
+        containment_chain(origin(s), s, t)
