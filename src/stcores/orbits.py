@@ -435,8 +435,8 @@ def containment_chain(p: SPoint, s: int, t: int) -> ContainmentChain:
     the top of runner i-1 and go, one place up, on top of runner i.  Each
     keeps its rank, so its row gains one box; the one exception is the top
     tail bead -(n+1), n the number of rows, which becomes a new last row of
-    length 1.  So a step costs O(1) amortised in the sort, O(1) per moved
-    bead and one tuple copy of the rows.  Walking from the origin, a step
+    length 1.  So a step costs its share of the sort, O(1) per moved bead
+    and one tuple copy of the rows.  Walking from the origin, a step
     takes about 1.1 us at s = 7..10, 1.3 us at (13, 14), 1.9 us at (20, 21)
     and 3.4 us at (30, 31) (Python 3.11, 2-CPU x86 box).
 
