@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from itertools import chain, combinations
+from itertools import chain
 
 from .abacus import SSet, _partition_from_first_gaps, core_from_s_set, q_set, size_from_s_set
 from .alcoves import SPoint, _check_rhomboid, fold_to_dominant, in_rhomboid, tip
@@ -142,12 +142,9 @@ def descend_to_t_core(lam: Partition, s: int, t: int) -> tuple[Partition, OrbitD
     return core_from_s_set(final), OrbitDescentTrace(initial_sset=q, t=t, gens=tuple(gens))
 
 
-def _sort_descent(c: list[int], st: int) -> list[int]:
-    """The greedy word of ``descend_to_t_core``, sorting c in place.
-
-    It has two callers: the descent, with period st, and
-    ``containment_chain``, with period s, whose gallery walk is the same
-    sort of its class-ordered vector c_k = k - p[pos_k] + t pos_k.
+def _sort_descent(c: list[int], period: int) -> list[int]:
+    """The greedy word of ``descend_to_t_core``, period st, and of
+    ``containment_chain``'s gallery walk, period s, sorting c in place.
 
     The greedy scan does not restart at 0 after a move.  It keeps the
     invariant that no generator below the scan position improves, i.e.
@@ -168,8 +165,8 @@ def _sort_descent(c: list[int], st: int) -> list[int]:
     entry 0, or a move happens at s-1, generator 0 is checked next; unless
     it moves, the entries below i+1 (below s-2 after a move at s-1) are
     still in order, so the scan goes on there.  A move at 0 cannot be
-    followed by another (c[0] < c[s-1] - st now reads c[s-1] - st < c[0]
-    before the move), so the scan goes on at 1.
+    followed by another (c[0] < c[s-1] - period now reads
+    c[s-1] - period < c[0] before the move), so the scan goes on at 1.
     """
     s = len(c)
     last = s - 1
@@ -177,8 +174,8 @@ def _sort_descent(c: list[int], st: int) -> list[int]:
     append = gens.append
     i = 1  # the next generator >= 1 to check; c[0..i-1] is non-decreasing
     while True:
-        if c[0] < c[last] - st:
-            c[0], c[last] = c[last] - st, c[0] + st
+        if c[0] < c[last] - period:
+            c[0], c[last] = c[last] - period, c[0] + period
             append(0)
             i = 1
         while i < s:
@@ -205,23 +202,25 @@ def _sort_descent(c: list[int], st: int) -> list[int]:
             return gens
 
 
-def _descent_length(c: list[int], st: int) -> int:
-    """The number of inversions of C[j + ks] = c_j + kst, in O(s log s).
+def _descent_length(c: list[int], period: int, what: str = "descent") -> int:
+    """The length of ``_sort_descent(c, P)``, P = period, in O(s log s): the
+    inversions of C[j + ks] = c_j + kP, with P = st for the descent and s
+    for the gallery walk.
 
     Take two indices i < j with c_i != c_j, and write hi, lo for the one
-    with the larger and the smaller c.  With q = c // st and r = c mod st,
-    the pair gives ceil((c_hi - c_lo)/st) = q_hi - q_lo + [r_hi > r_lo]
+    with the larger and the smaller c.  With q = c // P and r = c mod P,
+    the pair gives ceil((c_hi - c_lo)/P) = q_hi - q_lo + [r_hi > r_lo]
     inversions C[hi] > C[lo + ks], over k >= 0, when hi = i, and one fewer,
     over k >= 1, when hi = j; a pair with c_i = c_j gives none.  Summed over
     the pairs: the spread of q, plus the pairs that rise in both c and r,
     minus the pairs that rise in both index and c.  The spread less
-    s(s - 1)/2, a lower bound, is checked against the cap first.
+    s(s - 1)/2, a lower bound, is checked against the cap first, as what.
     """
     order = sorted(c)
     s = len(c)
-    spread = sum(x // st * (2 * k - s + 1) for k, x in enumerate(order))  # sum of q_hi - q_lo
-    check_scan(spread - s * (s - 1) // 2, "descent", at_least=True)
-    return spread + _rising_pairs([x % st for x in order]) - _rising_pairs(c)
+    spread = sum(x // period * (2 * k - s + 1) for k, x in enumerate(order))  # sum of q_hi - q_lo
+    check_scan(spread - s * (s - 1) // 2, what, at_least=True)
+    return spread + _rising_pairs([x % period for x in order]) - _rising_pairs(c)
 
 
 def _rising_pairs(values: list[int]) -> int:
@@ -422,8 +421,9 @@ def containment_chain(p: SPoint, s: int, t: int) -> ContainmentChain:
     1 <= p_b - p_a <= t(b - a), so no walk is longer than the origin's,
     W0 = sum over d = 1..s-1 of (s - d) floor(td/s).  A step moves at most t
     beads and copies a core of span at most (s-1)t; only when W0 such steps
-    pass MAX_SCAN are the walls counted pair by pair, in O(s^2), and the
-    walk is refused iff that count passes the cap.
+    pass MAX_SCAN are the walls counted, as the sort's length
+    ``_descent_length(c, s)``, priced at s bitlen(s), and the walk is
+    refused iff that count passes the cap.
 
     The word is then replayed once.  Every caller reads the cores (``chain``
     prints them, ``verify`` and the tests compare them), so they stay eager.
@@ -455,14 +455,13 @@ def containment_chain(p: SPoint, s: int, t: int) -> ContainmentChain:
     step = goal[1] - goal[0]  # t: the tip is the progression of step t
     coords = list(q.coords)
     position = sorted(range(s), key=lambda n: coords[n] % s)  # index of each class
-    check_scan(s * (s - 1) // 2, "wall count")  # the pairs of the exact count
+    c = [k - coords[n] + step * n for k, n in enumerate(position)]
     per_step = s + (s - 1) * t  # the sort's share, at most t moved beads, a core of span (s-1)t
     if sum((s - d) * (t * d // s) for d in range(1, s)) * per_step > errors.MAX_SCAN:  # the origin's walls
-        remaining = sum(
-            abs((goal[b] - goal[a]) // s - (coords[b] - coords[a]) // s) for a, b in combinations(range(s), 2)
-        )
-        check_scan(remaining * per_step, f"gallery walk across {remaining} walls")
-    gens = _sort_descent([k - coords[n] + step * n for k, n in enumerate(position)], s)
+        check_scan(s * s.bit_length(), "wall count")  # the count's sort and Fenwick passes
+        walls = _descent_length(c, s, "gallery walk")
+        check_scan(walls * per_step, f"gallery walk across {walls} walls")
+    gens = _sort_descent(c, s)
     points, cores = [q.coords], [_partition_from_first_gaps(q.coords, s).parts]
     parts = list(cores[0])
     runners: list[list[int]] = [[] for _ in range(s)]  # rows of each runner's beads, top last

@@ -995,11 +995,28 @@ def test_chain_raises_when_aimed_away_from_the_tip(aim, message, monkeypatch):
 
 def test_chain_is_refused_beyond_its_cap():
     """Refused before the walk: 10,660 walls from the origin at (40, 41), with
-    cores of span up to 1,599, and 12,497,500 pairs to count at (5000, 1)."""
+    cores of span up to 1,599; at (524289, 2) the wall count itself, priced
+    at s bitlen(s) = 20 * 524,289 units; and at (201, 40001) the count's
+    lower bound, read after its one sort, 269,316,600 of the origin's
+    269,331,650 walls."""
     with pytest.raises(DomainError, match="gallery walk across 10660 walls"):
         containment_chain(origin(40), 40, 41)
-    with pytest.raises(DomainError, match="wall count"):
-        containment_chain(origin(5000), 5000, 1)
+    with pytest.raises(DomainError, match=f"^wall count of 10485780 units of work exceeds the cap of {errors.MAX_SCAN}$"):
+        containment_chain(origin(524289), 524289, 2)
+    with pytest.raises(DomainError,
+                       match=f"^gallery walk of at least 269316600 units of work exceeds the cap of {errors.MAX_SCAN}$"):
+        containment_chain(origin(201), 201, 40001)
+
+
+@pytest.mark.parametrize("s, t, p", [(5000, 1, origin(5000)), (5001, 2, tip(5001, 2))], ids=["origin", "tip"])
+def test_chain_of_no_walls_is_walked_at_large_s(s, t, p):
+    """A walk with no step is admitted however large s is: from the origin at
+    t = 1, where W0 = 0 and nothing is counted, and from the tip at t = 2,
+    where W0 passes the cap and the count, in O(s log s), finds no wall."""
+    chain = containment_chain(p, s, t)
+    assert len(chain) == 0
+    assert chain.points == (tip(s, t),)
+    assert chain.cores[-1] == kappa(s, t)
 
 
 def _pairwise_walls(p, s, t):
@@ -1026,6 +1043,30 @@ def test_chain_length_is_the_pairwise_wall_count():
                     p = fold_to_dominant(_seeded_rhomboid_point(rng, s, t))
                     walls = _pairwise_walls(p, s, t)
                     assert len(containment_chain(p, s, t)) == walls <= _origin_walls(s, t), (s, t, p)
+
+
+def test_chain_refusal_names_the_exact_wall_count(monkeypatch):
+    """Under a cap one unit below walls * (s + (s-1)t) the walk is refused,
+    naming its pairwise wall count, and at that cap it is walked: on the
+    seeded points of the test above that have a wall, each of which the
+    origin's price W0 * (s + (s-1)t) sends to the count."""
+    refused = 0
+    for s in range(7, 31):
+        for t in (s + 1, s + 2):
+            if math.gcd(s, t) == 1:
+                rng = random.Random(f"walls:{s}:{t}")
+                for _ in range(3):
+                    p = fold_to_dominant(_seeded_rhomboid_point(rng, s, t))
+                    walls = _pairwise_walls(p, s, t)
+                    if walls:
+                        work = walls * (s + (s - 1) * t)
+                        monkeypatch.setattr(errors, "MAX_SCAN", work - 1)
+                        with pytest.raises(DomainError, match=f"^gallery walk across {walls} walls of {work} units"):
+                            containment_chain(p, s, t)
+                        monkeypatch.setattr(errors, "MAX_SCAN", work)
+                        assert len(containment_chain(p, s, t)) == walls, (s, t, p)
+                        refused += 1
+    assert refused >= 60, refused
 
 
 def test_chain_from_origin_crosses_the_origins_walls():
