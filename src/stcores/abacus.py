@@ -98,12 +98,13 @@ def partition_from_beta_set(b: BetaSet) -> Partition:
 def _packed_first_gaps(p: Partition, s: int) -> list[int]:
     """First gap per runner after packing all beads upwards, for a checked s.
 
-    On runner r the packed beads occupy every position below some boundary;
-    the boundary is recovered from the bead count: (top tail position on the
-    runner) + s * (heads on the runner + 1).  Only ``core`` needs the counts.
-    From 256 rows up, and for s <= 29, s ``bytes.count`` calls on the runner
-    bytes count them: per row, 5 ns to pack, 1.5 ns per byte plane and
-    0.5-3 ns per count, after a few microseconds of set-up; the loop: 40-55 ns.
+    On runner r every position below base_r = (r + n) mod s - n, its lowest
+    position >= -n, holds a tail bead, and packing stacks its row beads from
+    base_r up: the first gap is base_r + s * (row beads on the runner).  Only
+    ``core`` needs the counts.  From 256 rows up, and for s <= 29, s
+    ``bytes.count`` calls on the runner bytes count them: per row, 5 ns to
+    pack, 1.5 ns per byte plane and 0.5-3 ns per count, after a few
+    microseconds of set-up; the loop: 40-55 ns.
     """
     parts = p.parts
     n = len(parts)
@@ -113,8 +114,7 @@ def _packed_first_gaps(p: Partition, s: int) -> list[int]:
         counts = [0] * s
         for i, part in enumerate(parts, start=1):
             counts[(part - i) % s] += 1
-    top = -(n + 1)
-    return [top - ((top - r) % s) + s * (counts[r] + 1) for r in range(s)]
+    return [(r + n) % s - n + s * count for r, count in enumerate(counts)]
 
 
 def _top_bead_gaps(p: Partition, s: int) -> tuple[list[int], bool]:

@@ -11,7 +11,8 @@ from __future__ import annotations
 from itertools import combinations, product
 
 from .abacus import SSet
-from .errors import MAX_SCAN, DomainError, _Value, _read_ints, _set, _trusted, check_coords, check_int, check_pair
+from . import errors
+from .errors import DomainError, _Value, _read_ints, _set, _trusted, check_coords, check_int, check_level, check_pair
 from .errors import check_s_set, check_scan, check_span
 
 
@@ -203,8 +204,7 @@ def simplex_vertices(s: int, t: int) -> list[tuple[Fraction, ...]]:
     """
     from fractions import Fraction  # imported here, its only use, to keep it off start-up
 
-    check_int(s, "s", 2)
-    check_int(t, "t", 1)
+    check_level(s, t)
     base = Fraction(s - 1, 2)
     return [
         tuple(base + (i - s) * t if j <= i else base + i * t for j in range(1, s + 1))
@@ -218,13 +218,13 @@ def rhomboid_points(s: int, t: int) -> list[SPoint]:
     Gap vectors whose anchor coordinate is non-integral or whose coordinates
     collide mod s do not correspond to s-points and are skipped.
     """
-    check_int(s, "s", 2)
-    check_int(t, "t", 1)
+    check_level(s, t)
     # s-1 entries per gap vector; for t >= 2 the count passes the cap once s
     # exceeds the cap's bit length, which is decided before any power is built
     scan = f"rhomboid scan of {t}^{s - 1} gap vectors"
-    if t > 1 and s > MAX_SCAN.bit_length():
-        raise DomainError(f"{scan} exceeds the cap of {MAX_SCAN}")
+    cap = errors.MAX_SCAN  # read per call, so a test can lower it
+    if t > 1 and s > cap.bit_length():
+        raise DomainError(f"{scan} exceeds the cap of {cap}")
     check_scan((s - 1) * t ** (s - 1), scan)
     total = s * (s - 1) // 2
     points = []

@@ -61,10 +61,15 @@ def check_int(value, what: str, low: int | None = None, high: int | None = None)
         raise DomainError(f"need {what} <= {high}, got {value}")
 
 
-def check_pair(s: int, t: int) -> None:
-    """A level-t pair: s >= 2, t >= 1 and gcd(s, t) = 1."""
+def check_level(s: int, t: int) -> None:
+    """A level: s >= 2 and t >= 1, coprime or not."""
     check_int(s, "s", 2)
     check_int(t, "t", 1)
+
+
+def check_pair(s: int, t: int) -> None:
+    """A level-t pair: s >= 2, t >= 1 and gcd(s, t) = 1."""
+    check_level(s, t)
     if math.gcd(s, t) != 1:
         raise DomainError(f"({s}, {t}) must be coprime")
 

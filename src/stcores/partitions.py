@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Callable, Iterator
+from functools import total_ordering
 from itertools import chain
 from operator import le
 
@@ -23,6 +24,7 @@ from .errors import MAX_SIZE, DomainError, _Value, _read_ints, _set, check_int
 Box = namedtuple("Box", "row col")
 
 
+@total_ordering
 class Partition(_Value):
     """A partition as a weakly decreasing tuple of positive integers,
     ordered as its tuple of parts."""
@@ -57,15 +59,6 @@ class Partition(_Value):
 
     def __lt__(self, other):
         return self.parts < other.parts if other.__class__ is self.__class__ else NotImplemented
-
-    def __le__(self, other):
-        return self.parts <= other.parts if other.__class__ is self.__class__ else NotImplemented
-
-    def __gt__(self, other):
-        return self.parts > other.parts if other.__class__ is self.__class__ else NotImplemented
-
-    def __ge__(self, other):
-        return self.parts >= other.parts if other.__class__ is self.__class__ else NotImplemented
 
 
 def from_text(text: str) -> Partition:

@@ -6,7 +6,7 @@ from itertools import product
 
 import pytest
 
-from stcores import DomainError
+from stcores import DomainError, errors
 from stcores.abacus import core_from_s_set, is_s_core
 from stcores.affine_actions import alpha
 from stcores.alcoves import (
@@ -279,3 +279,11 @@ def test_rhomboid_scan_is_refused_beyond_its_cap():
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def test_rhomboid_scan_reads_the_cap_per_call(monkeypatch):
+    """The large-s refusal names the cap as it is at the call, like the rest."""
+    monkeypatch.setattr(errors, "MAX_SCAN", 1000)
+    for s, t in ((11, 2), (30, 2)):
+        with pytest.raises(DomainError, match="cap of 1000$"):
+            rhomboid_points(s, t)

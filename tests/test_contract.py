@@ -1,5 +1,7 @@
 """Values from outside are checked where they enter, whatever the library trusts inside."""
 
+import re
+
 import pytest
 
 from conftest import sset_from_text
@@ -17,12 +19,15 @@ from stcores.alcoves import (
     rhomboid_points,
     side_of,
     simplex_vertices,
+    tip,
 )
 from stcores.orbits import (
     anderson_count,
     containment_chain,
     count_st_cores,
     descend_to_t_core,
+    enumerate_st_cores,
+    kappa,
     lemma53_check,
     level_orbit_up_to_size,
 )
@@ -152,6 +157,38 @@ def test_s_below_1_is_one_check(build):
     """The abacus and the hook oracles refuse s < 1 with the one errors.check_int message."""
     with pytest.raises(DomainError, match=r"^need s >= 1, got -?\d+$"):
         build()
+
+
+LEVEL_CASES = {
+    "descend_to_t_core": lambda s, t: descend_to_t_core(Partition(), s, t),
+    "containment_chain": lambda s, t: containment_chain(origin(3), s, t),
+    "anderson_count": anderson_count,
+    "count_st_cores": count_st_cores,
+    "enumerate_st_cores": enumerate_st_cores,
+    "kappa": kappa,
+    "tip": tip,
+    "level_orbit_up_to_size": lambda s, t: level_orbit_up_to_size(s, t, 10),
+    "hyperplane_meets_rhomboid": lambda s, t: hyperplane_meets_rhomboid(Hyperplane(1, 2, 0), s, t),
+    "rhomboid_points": rhomboid_points,
+    "simplex_vertices": simplex_vertices,
+}
+
+
+@pytest.mark.parametrize("build", LEVEL_CASES.values(), ids=LEVEL_CASES.keys())
+@pytest.mark.parametrize(
+    "s,t,message",
+    [
+        (1, 3, "need s >= 2, got 1"),
+        (3, 0, "need t >= 1, got 0"),
+        (2.0, 3, "s must be an integer, got 2.0"),
+        (3, True, "t must be an integer, got True"),
+    ],
+)
+def test_level_is_one_check(build, s, t, message):
+    """Every level-t entry refuses s < 2, t < 1 and a non-int s or t with the
+    one errors.check_level message, coprime pair or not."""
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        build(s, t)
 
 
 @pytest.mark.parametrize(

@@ -104,6 +104,22 @@ def test_descent_matches_abacus_and_decreases():
         assert is_s_core(nu, s) and is_s_core(nu, t)
 
 
+def test_descent_never_widens_its_s_set():
+    """An improving chi_t move takes a < b with b - a - t a positive multiple
+    of s to a + t and b - t, both strictly inside (a, b): each step's s-set
+    spans at most the one before it, so no core rebuilt per step (as
+    ``orbit-min`` prints them) spans more than the start."""
+    rng = random.Random(38)
+    for _ in range(400):
+        s = rng.randint(2, 15)
+        t = rng.choice([t for t in range(1, 2 * s + 2) if math.gcd(s, t) == 1])
+        lam = core_from_s_set(sset_of_point(random_s_point(rng, s, 6)))
+        _, trace = descend_to_t_core(lam, s, t)
+        ssets = [trace.initial_sset] + [q for _, q in trace.iter_steps()]
+        spans = [max(q.elements) - min(q.elements) for q in ssets]
+        assert all(b <= a for a, b in zip(spans, spans[1:])), (s, t, lam)
+
+
 def _improving_gens(q, t):
     """Generators whose chi_t image has a smaller sum of squares than q."""
     sumsq = sum(a * a for a in q.elements)
@@ -903,6 +919,20 @@ def test_chain_matches_wall_count_walk_on_small_rhomboids():
             if math.gcd(s, t) == 1:
                 for p in rhomboid_points(s, t):
                     _assert_matches_oracle(p, s, t)
+
+
+def test_chain_is_a_chi_1_word():
+    """Replaying the gallery walk's generators as a chi_1 descent word from
+    its first point's s-set passes through the s-set of each later point."""
+    rng = random.Random("chain word")
+    starts = [(p, s, t) for s in range(2, 7) for t in range(1, 8) if math.gcd(s, t) == 1
+              for p in rhomboid_points(s, t)]
+    for s, t in ((7, 9), (8, 11), (9, 10), (10, 13), (11, 12)):
+        starts += [(_seeded_rhomboid_point(rng, s, t), s, t) for _ in range(5)]
+    for p, s, t in starts:
+        chain = containment_chain(p, s, t)
+        replay = orbits.OrbitDescentTrace(sset_of_point(chain.points[0]), 1, chain.gens).iter_steps()
+        assert [q for _, q in replay] == [sset_of_point(q) for q in chain.points[1:]], (p, t)
 
 
 @pytest.mark.parametrize("s,t", [(11, 13), (13, 15)])
