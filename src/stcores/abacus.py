@@ -10,6 +10,13 @@ regular tail -(n+1), -(n+2), ...  Core extraction repacks each runner by
 bead counting instead of simulating single slides; the two agree because
 sliding preserves per-runner bead counts above any fixed floor.
 
+Every core is rebuilt from its first gaps, one per runner, by
+``_partition_from_first_gaps``.  Below 5 s^2 rows it sorts the beads;
+from there up it writes the rows of each band between two consecutive
+gaps as interleaved arithmetic progressions, which cost 35-61 % as much
+per row from 20 s^2 rows up.  The choice depends on the row count n and s
+alone.
+
 ``q_set`` and ``is_s_core`` read an s-core by the top bead of each runner
 (``_top_bead_gaps``); ``core`` counts the beads on each runner, because the
 core of a non-core is packed from the counts.  Both ``core`` and
@@ -174,19 +181,65 @@ def _runner_bytes(parts, s: int) -> bytes:
     return sums.to_bytes(n, "little").translate(_plane_table(s, 0))
 
 
+# A core of at least this many rows per s^2 is laid out as row progressions.
+# Against the sorted beads they cost 0.93-1.16x at 4 s^2 rows and 0.79-0.99x
+# at 5 s^2, for s = 2..29 (Python 3.11.7 on a 2-CPU x86 box).
+_PROGRESSION_ROWS = 5
+
+
 def _partition_from_first_gaps(gaps, s: int) -> Partition:
     """Rebuild the partition whose packed abacus has the given first gaps (any
-    collection of s, one per class), collecting its beads runner by runner."""
+    collection of s, one per class); it has n = -min(gaps) rows.
+
+    Below 5 s^2 rows the beads are listed runner by runner, sorted and offset
+    by their row index: 50-110 ns per row from s^2 to 4 s^2 rows, the more
+    the fewer rows, and 63-75 ns per row at 10^5 rows, for s = 2..64.  From
+    5 s^2 rows up they are laid out as row progressions.  Let G_0 > ... >
+    G_(s-1) = -n be the gaps in order.  In the band G_k <= x < G_(k-1) only
+    the k runners of G_0 .. G_(k-1) hold beads, one in every s positions
+    each, so the band's rows interleave as k progressions in which the row
+    steps by k and the part by k - s.  Each is one strided slice assignment
+    of a ``range``, or one item for a progression of one row: no bead list,
+    no sort and no addition per row.  That is O(s^2) Python-level steps per
+    core, which the rule bounds by O(n), and C-level work per row: 17-27 ns
+    per row at 20 s^2 rows and 23-29 ns at 10^5 rows, for s = 2..64.
+    """
     floor = min(gaps)
-    beads = []
-    for g in gaps:
-        beads += range(g - s, floor - 1, -s)
-    if floor + len(beads) != 0:
+    n = -floor
+    if n < _PROGRESSION_ROWS * s * s:
+        beads = []
+        for g in gaps:
+            beads += range(g - s, floor - 1, -s)
+        if len(beads) != n:
+            raise RuntimeError("first-gap data does not describe a charge-0 abacus")
+        beads.sort(reverse=True)
+        # the distinct beads above floor = -n give weakly decreasing parts
+        # b_i + i >= 1; callers bound the span, hence the size
+        return _trusted(Partition, parts=tuple(map(add, beads, range(1, n + 1))))
+    if sum(gaps) != s * (s - 1) // 2:  # else the progressions do not fill n rows
         raise RuntimeError("first-gap data does not describe a charge-0 abacus")
-    beads.sort(reverse=True)
-    # the distinct beads above floor = -len(beads) give weakly decreasing
-    # parts b_i + i >= 1; callers bound the span, hence the size
-    return _trusted(Partition, parts=tuple(map(add, beads, range(1, len(beads) + 1))))
+    top = sorted(gaps, reverse=True)
+    rows = [0] * n
+    start = 0  # the first row of the band
+    for k in range(1, s):
+        h = top[k - 1] - 1  # the band's top position
+        span = h - top[k]
+        step = k - s
+        row = start
+        # the band's top bead on each of its k runners lies d = (h - g) mod s
+        # below h, and its rows begin in the order of d
+        for d in sorted([(h - g) % s for g in top[:k]]):
+            if d > span:
+                break
+            m = (span - d) // s + 1  # the runner's beads in the band
+            part = h - d + row + 1
+            if m == 1:
+                rows[row] = part
+            else:
+                rows[row:row + k * m:k] = range(part, part + m * step, step)
+            start += m
+            row += 1
+    return _trusted(Partition, parts=tuple(rows))
 
 
 def _hooks_below(p: Partition, s: int) -> bool:

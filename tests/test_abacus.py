@@ -9,6 +9,7 @@ from stcores import DomainError
 from conftest import sset_from_text
 from stcores.errors import MAX_SIZE
 from stcores.abacus import (
+    _PROGRESSION_ROWS,
     BetaSet,
     _packed_first_gaps,
     _runner_bytes,
@@ -25,6 +26,7 @@ from stcores.abacus import (
 from stcores.partitions import (
     Partition,
     brute_core,
+    conjugate,
     is_s_core_by_hooks,
     partitions_up_to,
     size,
@@ -169,6 +171,45 @@ def test_builder_matches_position_scan():
         # lam is an s-core but in general not an (s+1)-core
         assert core(lam, s + 1) == _position_scan_core(_packed_first_gaps(lam, s + 1), s + 1)
     assert min(sizes) == 0 and max(sizes) > 10**6
+    # both builders at their rule: the beads are sorted below c s^2 rows and
+    # laid out as row progressions from c s^2 up
+    rng = random.Random("builder-rule")
+    for s in (2, 3, 5, 7, 11, 13, 29, 30, 64):
+        for n in (_PROGRESSION_ROWS * s * s + d for d in (-1, 0, 1)):
+            q, lam = _core_with_rows(n, s, rng)
+            assert len(lam.parts) == n
+            assert lam == _position_scan_core(q.elements, s), (s, n)
+
+
+def _ssets_at_the_rule():
+    """Seeded s-sets whose cores lie on both sides of the builder's rule of
+    c s^2 rows, for s = 2..13, 29 and 30: of c s^2 / 2 to 2 c s^2 rows, and
+    spread as the random runner multipliers of _seeded_ssets."""
+    rng = random.Random("conjugate")
+    for s in (*range(2, 14), 29, 30):
+        rule = _PROGRESSION_ROWS * s * s
+        for n in (rule // 2, rule - 1, rule, 2 * rule):
+            yield _core_with_rows(n, s, rng)[0]
+        for k in (s, 2 * s, 4 * s):
+            c = [rng.randint(-k, k) for _ in range(s - 1)]
+            c.append(-sum(c))
+            yield make_sset(s, [r + s * c_r for r, c_r in enumerate(c)])
+
+
+def test_conjugate_core_is_the_core_of_the_reflected_s_set():
+    """Reflecting the abacus, x -> -1 - x, swaps beads and gaps and turns
+    rows into columns: the core of {s - 1 - a : a in q} is the conjugate of
+    the core of q.  The conjugate is read by counting the parts, not by the
+    builder, so this holds whichever path builds either core."""
+    sides = Counter()
+    for q in _ssets_at_the_rule():
+        s = q.s
+        lam = core_from_s_set(q)
+        mirror = core_from_s_set(make_sset(s, [s - 1 - a for a in q.elements]))
+        assert mirror == conjugate(lam), q
+        for p in (lam, mirror):
+            sides[len(p.parts) >= _PROGRESSION_ROWS * s * s] += 1
+    assert sides[True] > 20 and sides[False] > 20
 
 
 def _runner_bytes_by_rows(parts, s):

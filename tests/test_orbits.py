@@ -88,20 +88,31 @@ def test_descend_examples():
 
 
 def test_descent_matches_abacus_and_decreases():
-    rng = random.Random(11)
-    for _ in range(200):
-        s = rng.randint(2, 6)
-        t = rng.choice([t for t in range(2, 9) if math.gcd(s, t) == 1])
-        lam = random_s_core(rng, s, 150)
+    """200 descents from the small cores of random_s_core, most of which take
+    no step, then 200 from cores rebuilt from random_s_points, which take
+    about 1,600 steps in all."""
+
+    def steps_of_checked_descent(lam, s, t):
         nu, trace = descend_to_t_core(lam, s, t)
         assert nu == core(lam, t)
         seq = trace.sum_sq_sequence()
         assert all(b < a for a, b in zip(seq, seq[1:]))
         final_point = point_of_sset(trace.steps[-1][1] if trace.steps else trace.initial_sset)
-        from stcores.alcoves import in_rhomboid
-
         assert in_rhomboid(final_point, t)
         assert is_s_core(nu, s) and is_s_core(nu, t)
+        return len(trace)
+
+    rng = random.Random(11)
+    for _ in range(200):
+        s = rng.randint(2, 6)
+        t = rng.choice([t for t in range(2, 9) if math.gcd(s, t) == 1])
+        steps_of_checked_descent(random_s_core(rng, s, 150), s, t)
+    steps = 0
+    for _ in range(200):
+        s = rng.randint(2, 6)
+        t = rng.choice([t for t in range(2, 9) if math.gcd(s, t) == 1])
+        steps += steps_of_checked_descent(core_from_s_set(sset_of_point(random_s_point(rng, s, 6))), s, t)
+    assert steps > 1000
 
 
 def test_descent_never_widens_its_s_set():
