@@ -216,8 +216,6 @@ def _partition_from_first_gaps(gaps, s: int) -> Partition:
         # the distinct beads above floor = -n give weakly decreasing parts
         # b_i + i >= 1; callers bound the span, hence the size
         return _trusted(Partition, parts=tuple(map(add, beads, range(1, n + 1))))
-    if sum(gaps) != s * (s - 1) // 2:  # else the progressions do not fill n rows
-        raise RuntimeError("first-gap data does not describe a charge-0 abacus")
     top = sorted(gaps, reverse=True)
     rows = [0] * n
     start = 0  # the first row of the band
@@ -239,6 +237,8 @@ def _partition_from_first_gaps(gaps, s: int) -> Partition:
                 rows[row:row + k * m:k] = range(part, part + m * step, step)
             start += m
             row += 1
+    if start != n:  # more beads than rows fail in the assignments above
+        raise RuntimeError("first-gap data does not describe a charge-0 abacus")
     return _trusted(Partition, parts=tuple(rows))
 
 
