@@ -13,7 +13,7 @@ sliding preserves per-runner bead counts above any fixed floor.
 Every core is rebuilt from its first gaps, one per runner, by
 ``_partition_from_first_gaps``.  Below 5 s^2 rows it sorts the beads;
 from there up it writes the rows of each band between two consecutive
-gaps as interleaved arithmetic progressions, which cost 35-61 % as much
+gaps as interleaved arithmetic progressions, which cost 32-59 % as much
 per row from 20 s^2 rows up.  The choice depends on the row count n and s
 alone.
 
@@ -182,8 +182,9 @@ def _runner_bytes(parts, s: int) -> bytes:
 
 
 # A core of at least this many rows per s^2 is laid out as row progressions.
-# Against the sorted beads they cost 0.93-1.16x at 4 s^2 rows and 0.79-0.99x
-# at 5 s^2, for s = 2..29 (Python 3.11.7 on a 2-CPU x86 box).
+# Against the sorted beads they cost 0.93-1.16x at 4 s^2 rows for s = 2..29,
+# and at 5 s^2 rows 0.59-0.96x for s = 5..64 and about 1x at s = 2, 3, where
+# a call's fixed cost still weighs (Python 3.11.7 on a 2-CPU x86 box).
 _PROGRESSION_ROWS = 5
 
 
@@ -192,17 +193,17 @@ def _partition_from_first_gaps(gaps, s: int) -> Partition:
     collection of s, one per class); it has n = -min(gaps) rows.
 
     Below 5 s^2 rows the beads are listed runner by runner, sorted and offset
-    by their row index: 50-110 ns per row from s^2 to 4 s^2 rows, the more
-    the fewer rows, and 63-75 ns per row at 10^5 rows, for s = 2..64.  From
-    5 s^2 rows up they are laid out as row progressions.  Let G_0 > ... >
-    G_(s-1) = -n be the gaps in order.  In the band G_k <= x < G_(k-1) only
-    the k runners of G_0 .. G_(k-1) hold beads, one in every s positions
-    each, so the band's rows interleave as k progressions in which the row
-    steps by k and the part by k - s.  Each is one strided slice assignment
-    of a ``range``, or one item for a progression of one row: no bead list,
-    no sort and no addition per row.  That is O(s^2) Python-level steps per
-    core, which the rule bounds by O(n), and C-level work per row: 17-27 ns
-    per row at 20 s^2 rows and 23-29 ns at 10^5 rows, for s = 2..64.
+    by their row index: 52-108 ns per row at 4 s^2 rows for s = 2..64, the
+    more the smaller s.  From 5 s^2 rows up they are laid out as row
+    progressions.  Let G_0 > ... > G_(s-1) = -n be the gaps in order.  In
+    the band G_k <= x < G_(k-1) only the k runners of G_0 .. G_(k-1) hold
+    beads, one in every s positions each, so the band's rows interleave as k
+    progressions in which the row steps by k and the part by k - s.  Each is
+    one strided slice assignment of a ``range``, or one item for a
+    progression of one row: no bead list, no sort and no addition per row.
+    That is O(s^2) Python-level steps per core, which the rule bounds by
+    O(n), and C-level work per row: 31-91 ns per row at 5 s^2 rows, 19-27 ns
+    at 20 s^2 rows and 23-29 ns at 10^5 rows, for s = 2..64.
     """
     floor = min(gaps)
     n = -floor
