@@ -11,11 +11,14 @@ bead counting instead of simulating single slides; the two agree because
 sliding preserves per-runner bead counts above any fixed floor.
 
 Every core is rebuilt from its first gaps, one per runner, by
-``_partition_from_first_gaps``.  Below 5 s^2 rows it sorts the beads;
+``_partition_from_first_gaps``.  Below 4 s^2 rows it sorts the beads;
 from there up it writes the rows of each band between two consecutive
-gaps as interleaved arithmetic progressions, which cost 32-59 % as much
+gaps as interleaved arithmetic progressions, which cost 11-55 % as much
 per row from 20 s^2 rows up.  The choice depends on the row count n and s
-alone.
+alone.  The progressions slice their parts out of ``_part_values``, one
+process-wide list of the int objects 0..L, grown on demand to at most 2^16
+entries: an equal part of every core they build is one object, and a row
+costs a pointer in place of a pointer and a new int.
 
 ``q_set`` and ``is_s_core`` read an s-core by the top bead of each runner
 (``_top_bead_gaps``); ``core`` counts the beads on each runner, because the
@@ -181,29 +184,60 @@ def _runner_bytes(parts, s: int) -> bytes:
     return sums.to_bytes(n, "little").translate(_plane_table(s, 0))
 
 
+# The int objects 0..L, _part_values[i] == i: the row progressions slice their
+# parts out of this one list, so an equal part of every core they build is one
+# object.  It grows on demand to at most _PART_CAP entries, about 2.6 MB.
+_PART_CAP = 1 << 16
+_part_values = [0]
+
+
+def _values_through(top: int):
+    """A sequence with values[i] == i for 0 <= i <= top: the shared list,
+    grown if need be, or a ``range`` once top reaches the cap."""
+    global _part_values
+    values = _part_values
+    if top < len(values):
+        return values
+    if top >= _PART_CAP:
+        return range(top + 1)
+    # the longer list is built aside and published in one assignment, so a
+    # reader on another thread holds one whole list, never a half-grown one
+    values = values[:]
+    values += range(len(values), top + 1)
+    _part_values = values
+    return values
+
+
 # A core of at least this many rows per s^2 is laid out as row progressions.
-# Against the sorted beads they cost 0.93-1.16x at 4 s^2 rows for s = 2..29,
-# and at 5 s^2 rows 0.59-0.96x for s = 5..64 and about 1x at s = 2, 3, where
-# a call's fixed cost still weighs (Python 3.11.7 on a 2-CPU x86 box).
-_PROGRESSION_ROWS = 5
+# Against the sorted beads they cost 1.03-1.07x at 3 s^2 rows for s = 2, 3, 5,
+# where a call's fixed cost still weighs, and at 4 s^2 rows 0.93-1.02x for
+# s = 2, 3 and 0.52-0.90x for s = 5..64 (Python 3.11.7 on a 2-CPU x86 box).
+_PROGRESSION_ROWS = 4
 
 
 def _partition_from_first_gaps(gaps, s: int) -> Partition:
     """Rebuild the partition whose packed abacus has the given first gaps (any
     collection of s, one per class); it has n = -min(gaps) rows.
 
-    Below 5 s^2 rows the beads are listed runner by runner, sorted and offset
-    by their row index: 52-108 ns per row at 4 s^2 rows for s = 2..64, the
-    more the smaller s.  From 5 s^2 rows up they are laid out as row
-    progressions.  Let G_0 > ... > G_(s-1) = -n be the gaps in order.  In
-    the band G_k <= x < G_(k-1) only the k runners of G_0 .. G_(k-1) hold
-    beads, one in every s positions each, so the band's rows interleave as k
-    progressions in which the row steps by k and the part by k - s.  Each is
-    one strided slice assignment of a ``range``, or one item for a
-    progression of one row: no bead list, no sort and no addition per row.
-    That is O(s^2) Python-level steps per core, which the rule bounds by
-    O(n), and C-level work per row: 31-91 ns per row at 5 s^2 rows, 19-27 ns
-    at 20 s^2 rows and 23-29 ns at 10^5 rows, for s = 2..64.
+    Below 4 s^2 rows the beads are listed runner by runner, sorted and offset
+    by their row index: 70-200 ns per row at 3-4 s^2 rows for s = 2..64, the
+    more the smaller s, and 80 bytes per row at peak.  From 4 s^2 rows up
+    they are laid out as row progressions.  Let G_0 > ... > G_(s-1) = -n be
+    the gaps in order.  In the band G_k <= x < G_(k-1) only the k runners of
+    G_0 .. G_(k-1) hold beads, one in every s positions each, so the band's
+    rows interleave as k progressions in which the row steps by k and the
+    part by k - s.  Each is one strided slice of ``values`` assigned into the
+    rows, or one item for a progression of one row: no bead list, no sort,
+    no addition and no new int per row.  ``values[i] == i``: it is the shared
+    ``_part_values`` while the first row, the largest part, is below
+    ``_PART_CAP`` = 2^16, and a ``range`` from there up.  On the list a row
+    costs a pointer in the row list and one in the parts tuple, 16 bytes at
+    peak; on the range a new int besides, 48 bytes.  That is O(s^2)
+    Python-level steps per core, which the rule bounds by O(n), and C-level
+    work per row: 39-184 ns per row at 4 s^2 rows, 19-36 ns at 20 s^2 rows
+    and 11-20 ns at 10^5 rows for s = 3..64 (41 ns at s = 2, whose 10^5-row
+    core reaches the cap), on a box where the sorted beads take 90-124 ns
+    per row at 10^5 rows.
     """
     floor = min(gaps)
     n = -floor
@@ -218,6 +252,7 @@ def _partition_from_first_gaps(gaps, s: int) -> Partition:
         # b_i + i >= 1; callers bound the span, hence the size
         return _trusted(Partition, parts=tuple(map(add, beads, range(1, n + 1))))
     top = sorted(gaps, reverse=True)
+    values = _values_through(top[0] - s + 1)  # the first row's part, the largest
     rows = [0] * n
     start = 0  # the first row of the band
     for k in range(1, s):
@@ -233,9 +268,11 @@ def _partition_from_first_gaps(gaps, s: int) -> Partition:
             m = (span - d) // s + 1  # the runner's beads in the band
             part = h - d + row + 1
             if m == 1:
-                rows[row] = part
+                rows[row] = values[part]
             else:
-                rows[row:row + k * m:k] = range(part, part + m * step, step)
+                # the last part is at least 1, so the slice stops at a
+                # non-negative index
+                rows[row:row + k * m:k] = values[part:part + (m - 1) * step - 1:step]
             start += m
             row += 1
     if start != n:  # more beads than rows fail in the assignments above

@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Callable, Iterator
 from functools import total_ordering
-from itertools import chain
+from itertools import chain, repeat
 from operator import le
 
 from .errors import MAX_SIZE, DomainError, _Value, _read_ints, _set, check_int
@@ -104,8 +104,15 @@ def contains(outer: Partition, inner: Partition) -> bool:
 
 
 def conjugate(p: Partition) -> Partition:
-    width = (p.parts or (0,))[0]
-    return Partition(tuple(sum(1 for part in p.parts if part >= j) for j in range(1, width + 1)))
+    """The transpose, in one pass up from the last row: where row i's part
+    passes the columns listed so far, each new column is i boxes tall."""
+    parts = p.parts
+    columns = []
+    for i in range(len(parts), 0, -1):
+        grown = parts[i - 1] - len(columns)
+        if grown > 0:
+            columns += repeat(i, grown)
+    return Partition(tuple(columns))
 
 
 def boxes(p: Partition) -> Iterator[Box]:

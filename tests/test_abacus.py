@@ -1,11 +1,14 @@
+import operator
 import random
+import sys
+import threading
 from collections import Counter
 from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
 
-from stcores import DomainError
+from stcores import DomainError, abacus
 from conftest import sset_from_text
 from stcores.errors import MAX_SIZE
 from stcores.abacus import (
@@ -183,10 +186,10 @@ def test_builder_matches_position_scan():
 
 def _ssets_at_the_rule():
     """Seeded s-sets whose cores lie on both sides of the builder's rule of
-    c s^2 rows, for s = 2..13, 29 and 30: of c s^2 / 2 to 2 c s^2 rows, and
-    spread as the random runner multipliers of _seeded_ssets."""
+    c s^2 rows, for s = 2..13, 29, 30 and 64: of c s^2 / 2 to 2 c s^2 rows,
+    and spread as the random runner multipliers of _seeded_ssets."""
     rng = random.Random("conjugate")
-    for s in (*range(2, 14), 29, 30):
+    for s in (*range(2, 14), 29, 30, 64):
         rule = _PROGRESSION_ROWS * s * s
         for n in (rule // 2, rule - 1, rule, 2 * rule):
             yield _core_with_rows(n, s, rng)[0]
@@ -210,6 +213,97 @@ def test_conjugate_core_is_the_core_of_the_reflected_s_set():
         for p in (lam, mirror):
             sides[len(p.parts) >= _PROGRESSION_ROWS * s * s] += 1
     assert sides[True] > 20 and sides[False] > 20
+
+
+def _progression_cores():
+    """Seeded s-cores that the builder lays out as row progressions: of
+    c s^2 to 20 c s^2 rows, for s = 2, 3, 7, 13 and 29, and the seeded s-sets
+    above the rule."""
+    rng = random.Random("part-values")
+    for s in (2, 3, 7, 13, 29):
+        for n in (_PROGRESSION_ROWS * s * s, 4 * _PROGRESSION_ROWS * s * s, 20 * _PROGRESSION_ROWS * s * s):
+            yield _core_with_rows(n, s, rng)[0]
+    for q in _seeded_ssets():
+        if -min(q.elements) >= _PROGRESSION_ROWS * q.s * q.s:
+            yield q
+
+
+def test_part_values_cap_on_both_sides(monkeypatch):
+    """With the cap moved to each core's first row L, so that L is cap - 1,
+    cap and cap + 1, the progressions slice their parts from the shared list
+    (L < cap) or from a range (L >= cap), and the core is the same; the list
+    never grows past the cap, and holds i at index i."""
+    sides = Counter()
+    for q in _progression_cores():
+        s = q.s
+        expected = _position_scan_core(q.elements, s)
+        top = expected.parts[0]
+        for cap in (top + 1, top, top - 1):
+            monkeypatch.setattr(abacus, "_PART_CAP", cap)
+            monkeypatch.setattr(abacus, "_part_values", [0])
+            lam = core_from_s_set(q)
+            assert lam == expected, (q, cap)
+            values = abacus._part_values
+            assert len(values) <= cap
+            assert len(values) == (cap if top < cap else 1), (q, cap)
+            sides[top < cap] += 1
+        assert values == list(range(len(values)))
+    assert sides[True] > 20 and sides[False] > 40
+
+
+def test_equal_parts_are_one_object_across_cores():
+    """Cores built apart from first gaps, by core_from_s_set and by core,
+    hold one object for each equal part below the cap."""
+    rng = random.Random("shared-parts")
+    n = 20 * _PROGRESSION_ROWS * 49
+    q, lam = _core_with_rows(n, 7, rng)
+    # a 7-hook added along the first row is removed again by core, which packs
+    # the runner counts and rebuilds lam from the packed first gaps
+    hooked = core(Partition((lam.parts[0] + 7,) + lam.parts[1:]), 7)
+    assert hooked == lam and all(map(operator.is_, hooked.parts, lam.parts))
+    other = _core_with_rows(n, 7, rng)[1]
+    first = {part: part for part in lam.parts}
+    common = [part for part in other.parts if part in first and part > 256]  # ints to 256 are cached
+    assert len(common) > 100 and all(part is first[part] for part in common)
+    assert max(lam.parts[0], other.parts[0]) < abacus._PART_CAP
+
+
+def test_part_values_grow_safely_under_threads(monkeypatch):
+    """Two threads take turns through 7-cores of growing first rows, from an
+    empty list at once, so that each growth races the other thread's reads
+    and growths: every core equals the position scan, and the list published
+    last holds i at index i."""
+    rng = random.Random("threads")
+    cases = []
+    for n in range(_PROGRESSION_ROWS * 49, 40 * _PROGRESSION_ROWS * 49, 3 * 49):
+        q, _ = _core_with_rows(n, 7, rng)
+        cases.append((q, _position_scan_core(q.elements, 7)))
+    cases.sort(key=lambda case: case[1].parts[0])
+    interval = sys.getswitchinterval()
+    errors = []
+
+    def build(order):
+        try:
+            for q, expected in order:
+                if core_from_s_set(q) != expected:
+                    errors.append(q)
+        except Exception as exc:
+            errors.append(exc)
+
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+    try:
+        for _ in range(10):
+            monkeypatch.setattr(abacus, "_part_values", [0])
+            threads = [threading.Thread(target=build, args=(order,)) for order in (cases[::2], cases[1::2])]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            values = abacus._part_values
+            assert len(values) > 1000 and values == list(range(len(values)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors, errors[:3]
 
 
 def _runner_bytes_by_rows(parts, s):

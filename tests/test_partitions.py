@@ -249,6 +249,20 @@ def test_row_reads_equal_the_row_wise_definitions():
         assert contains(outer, inner) == _contains_by_rows(outer, inner), (outer, inner)
 
 
+def test_conjugate_is_one_pass_over_the_rows():
+    """Seeded partitions of up to 300 rows and parts against the count per
+    column, and the hook (m, 1^m) at m = 10^5, whose count per column reads
+    10^10 parts: conjugation is an involution that swaps rows and columns."""
+    rng = random.Random("conjugate")
+    for _ in range(200):
+        p = Partition(tuple(sorted((rng.randint(1, 300) for _ in range(rng.randint(0, 300))), reverse=True)))
+        assert conjugate(p) == _conjugate_by_rows(p), p
+        assert conjugate(conjugate(p)) == p
+    m = 10**5
+    hook = Partition((m,) + (1,) * m)
+    assert conjugate(hook) == Partition((m + 1,) + (1,) * (m - 1))
+
+
 def test_a_partition_is_read_through_its_parts_alone():
     assert not hasattr(Partition, "row")
     assert list(P(3, 1)) == [3, 1] and len(P(3, 1)) == 2
