@@ -220,7 +220,7 @@ def _partition_from_first_gaps(gaps, s: int) -> Partition:
     collection of s, one per class); it has n = -min(gaps) rows.
 
     Below 4 s^2 rows the beads are listed runner by runner, sorted and offset
-    by their row index: 70-200 ns per row at 3-4 s^2 rows for s = 2..64, the
+    by their row index: 70-220 ns per row at 3-4 s^2 rows for s = 2..64, the
     more the smaller s, and 80 bytes per row at peak.  From 4 s^2 rows up
     they are laid out as row progressions.  Let G_0 > ... > G_(s-1) = -n be
     the gaps in order.  In the band G_k <= x < G_(k-1) only the k runners of
@@ -234,10 +234,10 @@ def _partition_from_first_gaps(gaps, s: int) -> Partition:
     costs a pointer in the row list and one in the parts tuple, 16 bytes at
     peak; on the range a new int besides, 48 bytes.  That is O(s^2)
     Python-level steps per core, which the rule bounds by O(n), and C-level
-    work per row: 39-184 ns per row at 4 s^2 rows, 19-36 ns at 20 s^2 rows
-    and 11-20 ns at 10^5 rows for s = 3..64 (41 ns at s = 2, whose 10^5-row
-    core reaches the cap), on a box where the sorted beads take 90-124 ns
-    per row at 10^5 rows.
+    work per row: 39-156 ns per row at 4 s^2 rows and 19-36 ns at 20 s^2 rows
+    for s = 2..64, and 11-20 ns at 10^5 rows for s = 3..64 (41 ns at s = 2,
+    whose 10^5-row core reaches the cap), on a box where the sorted beads
+    take 90-124 ns per row at 10^5 rows.
     """
     floor = min(gaps)
     n = -floor

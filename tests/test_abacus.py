@@ -244,7 +244,6 @@ def test_part_values_cap_on_both_sides(monkeypatch):
             lam = core_from_s_set(q)
             assert lam == expected, (q, cap)
             values = abacus._part_values
-            assert len(values) <= cap
             assert len(values) == (cap if top < cap else 1), (q, cap)
             sides[top < cap] += 1
         assert values == list(range(len(values)))
@@ -269,10 +268,11 @@ def test_equal_parts_are_one_object_across_cores():
 
 
 def test_part_values_grow_safely_under_threads(monkeypatch):
-    """Two threads take turns through 7-cores of growing first rows, from an
-    empty list at once, so that each growth races the other thread's reads
-    and growths: every core equals the position scan, and the list published
-    last holds i at index i."""
+    """Four threads, more than the cores of a small box, build the same
+    7-cores in order of their first rows, from an empty list, each core by all
+    four at once, so that each growth races the other threads' reads and
+    growths of the same span: every core equals the position scan, and the
+    list published last holds i at index i."""
     rng = random.Random("threads")
     cases = []
     for n in range(_PROGRESSION_ROWS * 49, 40 * _PROGRESSION_ROWS * 49, 3 * 49):
@@ -285,6 +285,7 @@ def test_part_values_grow_safely_under_threads(monkeypatch):
     def build(order):
         try:
             for q, expected in order:
+                together.wait()
                 if core_from_s_set(q) != expected:
                     errors.append(q)
         except Exception as exc:
@@ -294,11 +295,13 @@ def test_part_values_grow_safely_under_threads(monkeypatch):
     try:
         for _ in range(10):
             monkeypatch.setattr(abacus, "_part_values", [0])
-            threads = [threading.Thread(target=build, args=(order,)) for order in (cases[::2], cases[1::2])]
+            together = threading.Barrier(4, timeout=60)
+            threads = [threading.Thread(target=build, args=(cases,)) for _ in range(4)]
             for thread in threads:
                 thread.start()
             for thread in threads:
-                thread.join()
+                thread.join(timeout=60)
+                assert not thread.is_alive()
             values = abacus._part_values
             assert len(values) > 1000 and values == list(range(len(values)))
     finally:
