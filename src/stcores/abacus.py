@@ -317,14 +317,12 @@ def core_from_s_set(q: SSet) -> Partition:
 
 
 def size_from_s_set(q: SSet) -> int:
-    """|lambda| for the s-core with Q(lambda) = q, without building it."""
-    return _core_size(q.s, q.elements)
+    """|lambda| for the s-core with Q(lambda) = q, without building it.
 
-
-def _core_size(s: int, elements) -> int:
-    """Writing each element as r + s*c_r, the size of the s-core works out to
-    (sum of squares of the elements minus sum of squares of {0..s-1}) / 2s."""
-    num = sum(a * a for a in elements) - (s - 1) * s * (2 * s - 1) // 6
+    Writing each element as r + s*c_r, the size works out to (sum of squares
+    of the elements minus sum of squares of {0..s-1}) / 2s."""
+    s = q.s
+    num = sum(a * a for a in q.elements) - (s - 1) * s * (2 * s - 1) // 6
     if num % (2 * s):
         raise RuntimeError("inconsistent s-set size computation")
     return num // (2 * s)

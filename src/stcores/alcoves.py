@@ -74,6 +74,7 @@ def point_from_text(text: str) -> SPoint:
 def origin(s: int) -> SPoint:
     """(0, 1, ..., s-1)."""
     check_int(s, "s", 2)
+    check_span(s - 1)  # the s coordinates span s - 1 positions
     # one element per class, summing to s(s-1)/2, far inside the bound
     return _trusted(SPoint, coords=tuple(range(s)))
 
@@ -205,6 +206,7 @@ def simplex_vertices(s: int, t: int) -> list[tuple[Fraction, ...]]:
     from fractions import Fraction  # imported here, its only use, to keep it off start-up
 
     check_level(s, t)
+    check_scan(s * s, "simplex vertices")  # s vertices of s Fractions each
     base = Fraction(s - 1, 2)
     return [
         tuple(base + (i - s) * t if j <= i else base + i * t for j in range(1, s + 1))

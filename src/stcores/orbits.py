@@ -31,13 +31,14 @@ from .abacus import SSet, _partition_from_first_gaps, core_from_s_set, q_set, si
 from .alcoves import SPoint, _check_rhomboid, fold_to_dominant, in_rhomboid, tip
 from . import errors
 from .errors import DomainError, _Value, _set, _trusted, _trusted_many, check_coords, check_count_bits
-from .errors import check_int, check_pair, check_scan, count_bits_below
+from .errors import check_int, check_pair, check_scan, check_span, count_bits_below
 from .partitions import Partition
 
 
 def residue_multiset(q: SSet, t: int) -> tuple[int, ...]:
     """Counts (n_0, ..., n_{t-1}) of elements of q in each class mod t."""
     check_int(t, "t", 1)
+    check_span(t - 1)  # the t classes are the runners of a t-abacus
     counts = [0] * t
     for a in q.elements:
         counts[a % t] += 1
@@ -534,11 +535,9 @@ def level_orbit_up_to_size(s: int, t: int, max_size: int, start: Partition = Par
     size = size_from_s_set(low)
     sizes = {low.elements: size} if size <= max_size else {}
     queue = list(sizes)
-    cap = errors.MAX_SCAN  # read per call, so a test can lower it
     # a FIFO queue, read while it grows: the list iterator sees every append
     for visited, elements in enumerate(queue, start=1):
-        if visited * s * s > cap:
-            check_scan(visited * s * s, "orbit closure")
+        check_scan(visited * s * s, "orbit closure")
         size = sizes[elements]
         cycle = _t_cycle(elements, s, t)
         for i in range(s):

@@ -2,18 +2,56 @@
 
 These deliberately avoid the fast code paths they are used to check:
 the simultaneous-core oracle filters every partition up to the extremal
-size through the hook-length criterion for both moduli.
+size through the hook-length criterion for both moduli.  Beside them sit
+the two guards of every bounded-time or bounded-memory test: ``within``
+and ``peak_memory``.
 """
 
 from __future__ import annotations
 
 import math
+import signal
+import tracemalloc
+from contextlib import contextmanager
+from types import SimpleNamespace
 
 from stcores import is_s_core_by_hooks, partitions_up_to, size
 from stcores.abacus import core_from_s_set, make_sset
 from stcores.alcoves import SPoint, rhomboid_points
 from stcores.errors import _read_ints
 from stcores.partitions import Partition
+
+
+@contextmanager
+def within(seconds: int, what: str):
+    """Run the block under a SIGALRM of the given seconds, which raises
+    TimeoutError naming what; the alarm is cleared and the previous handler
+    restored however the block ends.  A process has one alarm, so blocks
+    under within do not nest."""
+
+    def on_alarm(signum, frame):
+        raise TimeoutError(f"{what} did not return within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, on_alarm)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@contextmanager
+def peak_memory():
+    """Run the block under tracemalloc; the namespace it yields holds, once the
+    block has returned, the traced peak in bytes, read before tracing stops."""
+    peak = SimpleNamespace(bytes=None)
+    tracemalloc.start()
+    try:
+        yield peak
+        peak.bytes = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def sset_from_text(text: str, s: int):

@@ -9,7 +9,7 @@ import time
 from contextlib import contextmanager
 from functools import lru_cache
 
-from conftest import brute_st_cores
+from conftest import brute_st_cores, within
 from stcores import cli
 from stcores.abacus import core, core_from_s_set, is_s_core, make_sset, q_set
 from stcores.affine_actions import chi_gen, chi_on_core, psi_gen
@@ -84,19 +84,16 @@ def _timed_golden() -> float:
 
 
 def test_criterion_02_kane_size():
-    with criterion(2, "kane-size"):
-        start = time.perf_counter()
+    with criterion(2, "kane-size"), within(1, "kane-size"):
         for s in range(2, 12):
             for t in range(s + 1, 13):
                 if math.gcd(s, t) != 1:
                     continue
                 assert size(kappa(s, t)) == (s * s - 1) * (t * t - 1) // 24, (s, t)
-        assert time.perf_counter() - start < 1.0
 
 
 def test_criterion_03_anderson_count():
-    with criterion(3, "anderson-count"):
-        start = time.perf_counter()
+    with criterion(3, "anderson-count"), within(30, "anderson-count"):
         for s in range(2, 12):
             for t in range(s + 1, 13):
                 if math.gcd(s, t) != 1:
@@ -112,7 +109,6 @@ def test_criterion_03_anderson_count():
             oracle = brute_st_cores(s, t)
             assert len(oracle) == expected_count
             assert enumerate_st_cores(s, t) == oracle
-        assert time.perf_counter() - start < 30.0
 
 
 def _largest_t_within_count_budget(s: int, cap: int) -> int:
@@ -127,13 +123,11 @@ def _largest_t_within_count_budget(s: int, cap: int) -> int:
 
 
 def test_criterion_04_olsson():
-    with criterion(4, "olsson"):
-        start = time.perf_counter()
+    with criterion(4, "olsson"), within(10, "olsson"):
         failures = sum(
             1 for s, t, lam in olsson_corpus() if not is_s_core(core(lam, t), s)
         )
         assert failures == 0
-        assert time.perf_counter() - start < 10.0
 
 
 def test_criterion_05_descent_equals_abacus():
@@ -146,8 +140,7 @@ def test_criterion_05_descent_equals_abacus():
 
 
 def test_criterion_06_vandehey_and_chains():
-    with criterion(6, "vandehey-and-chains"):
-        start = time.perf_counter()
+    with criterion(6, "vandehey-and-chains"), within(60, "vandehey-and-chains"):
         for s in range(2, 9):
             for t in range(s + 1, 9):
                 if math.gcd(s, t) != 1:
@@ -167,7 +160,6 @@ def test_criterion_06_vandehey_and_chains():
                     assert all(
                         contains(b, a) for a, b in zip(chain.cores, chain.cores[1:])
                     ), (s, t, p)
-        assert time.perf_counter() - start < 60.0
 
 
 def test_criterion_07_action_algebra():

@@ -1,11 +1,11 @@
 import math
 import random
-import signal
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
+from conftest import within
 from stcores import DomainError, errors
 from stcores.abacus import core_from_s_set, is_s_core
 from stcores.affine_actions import alpha
@@ -262,23 +262,14 @@ def test_rhomboid_points_small():
     assert len(set(pts)) == len(pts)
 
 
-def _on_alarm(signum, frame):
-    raise TimeoutError("rhomboid_points did not return within the alarm")
-
-
 def test_rhomboid_scan_is_refused_beyond_its_cap():
     """(s-1)t^(s-1) gap-vector entries over 10^7 are refused before the scan;
     for large s the refusal needs no power of t."""
-    previous = signal.signal(signal.SIGALRM, _on_alarm)
-    signal.alarm(10)
-    try:
+    with within(10, "rhomboid_points"):
         for s, t in ((12, 13), (9, 7), (10**9, 2), (10**9, 1)):
             with pytest.raises(DomainError, match="exceeds the cap of 10000000"):
                 rhomboid_points(s, t)
         assert len(rhomboid_points(6, 7)) == 326  # 84,035 entries: admitted
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 def test_rhomboid_scan_reads_the_cap_per_call(monkeypatch):

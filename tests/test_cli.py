@@ -3,15 +3,13 @@ import json
 import math
 import random
 import re
-import signal
-import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from stcores import abacus, alcoves, cli, orbits, partitions as parts
-from conftest import point_of_sset, sset_from_text
+from conftest import peak_memory, point_of_sset, sset_from_text, within
 from stcores.verify import random_s_core, random_s_point
 
 
@@ -22,6 +20,15 @@ def run_cli(capsys, *argv):
         code = exc.code
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def run_refused(capsys, *argv):
+    """Run argv and check that it is refused: exit 2, nothing on stdout and
+    one stderr line, starting "stcores:", which is returned."""
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, ""), argv
+    assert err.startswith("stcores:") and len(err.splitlines()) == 1, err
+    return err
 
 
 def test_core_command(capsys):
@@ -66,8 +73,7 @@ def test_count_is_refused_before_it_passes_the_digits_python_prints(capsys):
     code, out, _ = run_cli(capsys, "count", "--s", "7000", "--t", "7001")
     assert (code, len(out)) == (0, 4210)
     for extra in ((), ("--json",)):
-        code, out, err = run_cli(capsys, "count", "--s", "7300", "--t", "7301", *extra)
-        assert (code, out) == (2, "")
+        err = run_refused(capsys, "count", "--s", "7300", "--t", "7301", *extra)
         assert "exceeds the cap of 14284 bits" in err and "Traceback" not in err
 
 
@@ -474,13 +480,10 @@ def test_core_oracle_memo_equals_brute_core():
 
 
 def test_verify_all_defaults_is_fast_and_green(capsys):
-    import time
-
-    start = time.perf_counter()
-    code, out, _ = run_cli(capsys, "verify")
+    with within(60, "verify"):
+        code, out, _ = run_cli(capsys, "verify")
     assert code == 0
     assert "FAIL" not in out
-    assert time.perf_counter() - start < 60.0
 
 
 def test_verify_is_deterministic_under_seed(capsys):
@@ -531,41 +534,24 @@ def _small_argv(draw):
     return [command, "--s", s, "--t", t]
 
 
-def _on_alarm(signum, frame):
-    raise TimeoutError("cli.main did not return within the alarm")
-
-
 @settings(max_examples=200, deadline=None)
 @given(_small_argv())
 def test_small_and_invalid_parameters_exit_cleanly(argv):
     """Zero, negative and non-coprime (s, t), partitions with zero or negative
     parts, verify maxima and trials below their floors and diagram depths
     below 1 end in an exit code, never a hang or traceback."""
-    previous = signal.signal(signal.SIGALRM, _on_alarm)
-    signal.alarm(10)
-    try:
-        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-            try:
-                code = cli.main(argv)
-            except SystemExit as exc:  # argparse usage errors
-                code = exc.code
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
+    with within(10, " ".join(argv)), redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
     assert code in (0, 1, 2, 3), argv
 
 
 def test_oversize_kappa_is_refused_before_building_it(capsys):
     """Kane's size for (200000, 200001) is about 6.7e19 > 2^62: exit 2 at once."""
-    previous = signal.signal(signal.SIGALRM, _on_alarm)
-    signal.alarm(10)
-    try:
-        code, out, err = run_cli(capsys, "kappa", "--s", "200000", "--t", "200001")
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-    assert (code, out) == (2, "")
-    assert err.startswith("stcores:") and len(err.splitlines()) == 1
+    with within(10, "kappa --s 200000 --t 200001"):
+        run_refused(capsys, "kappa", "--s", "200000", "--t", "200001")
 
 
 @pytest.mark.parametrize(
@@ -579,15 +565,8 @@ def test_oversize_kappa_is_refused_before_building_it(capsys):
 )
 def test_over_span_inputs_are_refused_up_front(capsys, argv):
     """The abacus span cap refuses these before any runner is laid out."""
-    previous = signal.signal(signal.SIGALRM, _on_alarm)
-    signal.alarm(10)
-    try:
-        code, out, err = run_cli(capsys, *argv)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-    assert (code, out) == (2, "")
-    assert err.startswith("stcores:") and len(err.splitlines()) == 1
+    with within(10, " ".join(argv)):
+        run_refused(capsys, *argv)
 
 
 def test_enumerate_is_iterative_and_capped(capsys):
@@ -595,18 +574,9 @@ def test_enumerate_is_iterative_and_capped(capsys):
     walk; (30, 31) is refused up front on its output price of
     anderson_count(30, 31) * 436 units: one per core and one per row, at
     most 435 rows a core."""
-    previous = signal.signal(signal.SIGALRM, _on_alarm)
-    signal.alarm(10)
-    try:
-        one = run_cli(capsys, "enumerate", "--s", "2000", "--t", "1")
-        refused = run_cli(capsys, "enumerate", "--s", "30", "--t", "31")
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-    assert one == (0, "\n", "")
-    code, out, err = refused
-    assert (code, out) == (2, "")
-    assert err.startswith("stcores:") and len(err.splitlines()) == 1
+    with within(10, "enumerate"):
+        assert run_cli(capsys, "enumerate", "--s", "2000", "--t", "1") == (0, "\n", "")
+        run_refused(capsys, "enumerate", "--s", "30", "--t", "31")
 
 
 def test_act_under_its_cap_applies_every_generator(capsys):
@@ -663,16 +633,8 @@ def test_act_under_its_cap_applies_every_generator(capsys):
 def test_oversize_walks_and_diagrams_are_refused_up_front(capsys, argv):
     """Walks, words, diagrams, verify runs and descent printouts are refused from
     closed-form counts or a replay of the word, before any step is printed."""
-    previous = signal.signal(signal.SIGALRM, _on_alarm)
-    signal.alarm(10)
-    try:
-        code, out, err = run_cli(capsys, *argv)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-    assert (code, out) == (2, "")
-    assert err.startswith("stcores:") and "exceeds the cap of 10000000" in err
-    assert len(err.splitlines()) == 1
+    with within(10, " ".join(argv)):
+        assert "exceeds the cap of 10000000" in run_refused(capsys, *argv)
 
 
 def test_orbit_min_refusal_names_the_summed_spans(capsys):
@@ -686,20 +648,14 @@ def test_orbit_min_refusal_names_the_summed_spans(capsys):
     for i in trace.gens:
         q = chi_on_sset(i, 1, q)
         total += 2 + max(q.elements) - min(q.elements)
-    code, out, err = run_cli(capsys, "orbit-min", "--s", "2", "--t", "1", staircase)
-    assert (code, out) == (2, "")
+    err = run_refused(capsys, "orbit-min", "--s", "2", "--t", "1", staircase)
     assert err == f"stcores: descent printout of {total} units of work exceeds the cap of 10000000\n"
 
 
 def test_orbit_min_under_its_cap_prints_every_step(capsys):
     """(1000) descends at (1001, 2) in 500 steps, 1.5e6 units of printing: admitted."""
-    previous = signal.signal(signal.SIGALRM, _on_alarm)
-    signal.alarm(10)
-    try:
+    with within(10, "orbit-min --s 1001 --t 2 1000"):
         code, out, err = run_cli(capsys, "orbit-min", "--s", "1001", "--t", "2", "1000")
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
     assert (code, err) == (0, "")
     lines = out.split("\n")
     assert len(lines) == 502 and lines[-2:] == ["", ""]  # 500 steps, the empty 2-core
@@ -807,15 +763,10 @@ def test_orbit_min_holds_one_core_at_a_time():
         with redirect_stdout(_Discard()):
             cli.main(["orbit-min", "--s", "3", "--t", "4", "4,2,1,1"] + ["--json"] * json_mode)
         sink = _Discard()
-        tracemalloc.start()
-        try:
-            with redirect_stdout(sink):
-                assert cli.main(argv + ["--json"] * json_mode) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        with peak_memory() as peak, redirect_stdout(sink):
+            assert cli.main(argv + ["--json"] * json_mode) == 0
         assert sink.written > 1_500_000, json_mode
-        assert peak < sink.written / 4, (json_mode, peak, sink.written)
+        assert peak.bytes < sink.written / 4, (json_mode, peak.bytes, sink.written)
 
 
 def test_printout_memo_holds_the_parts_printed_not_the_largest():
@@ -834,13 +785,8 @@ def test_printout_memo_holds_the_parts_printed_not_the_largest():
     with redirect_stdout(_Discard()):
         cli.main(["orbit-min", "--s", "3", "--t", "4", "4,2,1,1"])
     out = io.StringIO()
-    tracemalloc.start()
-    try:
-        with redirect_stdout(out):
-            assert cli.main(argv) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    with peak_memory() as peak, redirect_stdout(out):
+        assert cli.main(argv) == 0
     lines = out.getvalue().split("\n")
     assert len(lines) == 12 and lines[-2] == parts.to_text(nu)
-    assert peak < 8 * largest / 4, peak
+    assert peak.bytes < 8 * largest / 4, peak.bytes

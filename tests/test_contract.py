@@ -1,11 +1,13 @@
 """Values from outside are checked where they enter, whatever the library trusts inside."""
 
+import inspect
 import re
 
 import pytest
 
-from conftest import sset_from_text
-from stcores import DomainError
+import stcores
+from conftest import sset_from_text, within
+from stcores import DomainError, errors
 from stcores.abacus import BetaSet, SSet, core_from_s_set, make_sset, q_set
 from stcores.affine_actions import alpha, apply_word, chi_gen, chi_on_sset, psi_gen
 from stcores.alcoves import (
@@ -30,6 +32,7 @@ from stcores.orbits import (
     kappa,
     lemma53_check,
     level_orbit_up_to_size,
+    residue_multiset,
 )
 from stcores.diagram import RenderSpec
 from stcores.abacus import core, is_s_core
@@ -131,13 +134,105 @@ BOUNDARY_CASES = {
     # a box that is not a Box: a list cannot be looked up among the partition's boxes
     "remove_rim_hook_list_box": lambda: remove_rim_hook(Partition((2,)), RimHook(([1, 1],))),
     "remove_rim_hook_list_box_after_a_box": lambda: remove_rim_hook(Partition((2,)), RimHook((Box(1, 2), [1, 1]))),
+    # an s-point spans s - 1 positions, and residue_multiset counts the t runners
+    # of a t-abacus: both under the span cap, as q_set and core are for s runners
+    "origin_beyond_span_cap": lambda: origin(10**7 + 2),
+    "residue_multiset_beyond_span_cap": lambda: residue_multiset(ORIGIN_SSET_3, 10**7 + 2),
+    # s vertices of s Fractions each: 3163^2 > 10^7
+    "simplex_vertices_beyond_scan_cap": lambda: simplex_vertices(3163, 1),
 }
 
 
-@pytest.mark.parametrize("build", BOUNDARY_CASES.values(), ids=BOUNDARY_CASES.keys())
-def test_boundary_rejects_invalid_values(build):
-    with pytest.raises(DomainError):
+@pytest.mark.parametrize("name,build", BOUNDARY_CASES.items(), ids=BOUNDARY_CASES.keys())
+def test_boundary_rejects_invalid_values(name, build):
+    with within(10, name), pytest.raises(DomainError):
         build()
+
+
+def test_origin_residues_and_simplex_are_capped_on_both_sides(monkeypatch):
+    """origin and residue_multiset lay out at most MAX_SPAN + 1 positions,
+    simplex_vertices at most MAX_SCAN Fractions, and refuse one more."""
+    monkeypatch.setattr(errors, "MAX_SPAN", 10)
+    monkeypatch.setattr(errors, "MAX_SCAN", 100)
+    assert origin(11).coords == tuple(range(11))
+    assert residue_multiset(ORIGIN_SSET_3, 11) == (1, 1, 1) + (0,) * 8
+    assert len(simplex_vertices(10, 1)) == 10
+    for build, message in (
+        (lambda: origin(12), "abacus span of 11 positions exceeds the cap of 10"),
+        (lambda: residue_multiset(ORIGIN_SSET_3, 12), "abacus span of 11 positions exceeds the cap of 10"),
+        (lambda: simplex_vertices(11, 1), "simplex vertices of 121 units of work exceeds the cap of 100"),
+    ):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            build()
+
+
+# The least valid values of the other arguments of each public entry with an s
+# or t parameter, at s = 5, the least s coprime to both values of t swept below.
+POINT_5, SSET_5 = origin(5), make_sset(5, range(5))
+SWEEP_ARGS = {
+    "AlcoveKey": {"floors": ()},
+    "OrbitDescentTrace": {"initial_sset": SSET_5, "gens": ()},
+    "SSet": {"elements": SSET_5.elements},
+    "alpha": {"p": POINT_5},
+    "anderson_count": {},
+    "apply_word": {"word": (), "action": "chi", "p": POINT_5},
+    "boxes_of_residue": {"p": Partition(), "k": 0, "mode": "addable"},
+    "chi_gen": {"i": 0, "p": POINT_5},
+    "chi_on_core": {"i": 0, "lam": Partition()},
+    "chi_on_sset": {"i": 0, "q": SSET_5},
+    "containment_chain": {"p": POINT_5},
+    "core": {"p": Partition()},
+    "count_st_cores": {},
+    "descend_to_t_core": {"lam": Partition()},
+    "enumerate_st_cores": {},
+    "hyperplane_meets_rhomboid": {"h": Hyperplane(1, 2, 0)},
+    "in_rhomboid": {"p": POINT_5},
+    "is_s_core": {"p": Partition()},
+    "is_s_core_by_hooks": {"p": Partition()},
+    "kappa": {},
+    "lemma53_check": {"lam": Partition(), "i": 0},
+    "level_orbit_up_to_size": {"max_size": 0},
+    "make_sset": {"elements": range(5)},
+    "origin": {},
+    "psi_gen": {"i": 0, "p": POINT_5},
+    "q_set": {"p": Partition()},
+    "reflect_hyperplane": {"h": Hyperplane(1, 2, 0), "r": Hyperplane(1, 2, 0)},
+    "removable_rim_hooks": {"p": Partition()},
+    "residue_multiset": {"q": SSET_5},
+    "same_level_t_orbit": {"lam": Partition(), "mu": Partition()},
+    "simplex_vertices": {},
+    "tip": {},
+    "toggle_residue": {"p": Partition(), "k": 0},
+}
+# slow on purpose: the oracles the fast code is checked against
+SWEEP_ORACLES = {"brute_core", "rhomboid_points"}
+SWEPT = [
+    (name, param)
+    for name in stcores.__all__
+    # DomainError takes no s or t, and a subclass of a builtin has no signature to read
+    if name not in SWEEP_ORACLES and callable(entry := getattr(stcores, name)) and entry is not DomainError
+    for param in ("s", "t")
+    if param in inspect.signature(entry).parameters
+]
+
+
+def test_the_sweep_reaches_every_public_s_and_t():
+    assert {name for name, _ in SWEPT} == set(SWEEP_ARGS)
+
+
+@pytest.mark.parametrize("value", [2**70, 10**7 + 2], ids=["2**70", "10**7+2"])
+@pytest.mark.parametrize("name,param", SWEPT, ids=[f"{name}-{param}" for name, param in SWEPT])
+def test_every_public_s_and_t_is_bounded(name, param, value):
+    """An s or t far past every cap, the other at its least valid value, t = 1
+    or s = 5: the call returns or raises DomainError, within 5 s."""
+    entry = getattr(stcores, name)
+    params = inspect.signature(entry).parameters
+    levels = {key: v for key, v in {"s": 5, "t": 1, param: value}.items() if key in params}
+    with within(5, f"{name}({param}={value})"):
+        try:
+            entry(**SWEEP_ARGS[name], **levels)
+        except DomainError:
+            pass
 
 
 S_BELOW_1_CASES = {

@@ -2,15 +2,12 @@ import hashlib
 import math
 import random
 import re
-import signal
-import time
-import tracemalloc
 from collections import Counter
 from itertools import combinations
 
 import pytest
 
-from conftest import brute_st_cores, point_of_sset, st_cores_by_difference_scan
+from conftest import brute_st_cores, peak_memory, point_of_sset, st_cores_by_difference_scan, within
 from stcores import DomainError, errors, orbits
 from stcores.errors import count_bits_below
 from stcores.abacus import (
@@ -317,14 +314,10 @@ def test_descent_trace_keeps_no_s_sets():
     per step (about 60 MiB)."""
     s, t = 11, 13
     lam = core_from_s_set(_memory_test_sset())
-    tracemalloc.start()
-    try:
+    with peak_memory() as peak:
         nu, trace = descend_to_t_core(lam, s, t)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
     assert (size(lam), len(trace)) == (8_904_825_910, 63_681)
-    assert peak < 20 * 2**20
+    assert peak.bytes < 20 * 2**20
     assert nu == core(lam, t)
 
 
@@ -442,10 +435,6 @@ def test_anderson_count_examples():
         anderson_count(2, -3)
 
 
-def _on_count_alarm(signum, frame):
-    raise TimeoutError("anderson_count did not return within the alarm")
-
-
 def test_anderson_count_is_refused_before_its_binomial_is_built():
     """A count of at most 14,284 bits, which prints in under 4,300 digits, is
     admitted, and one bit more is refused: at s = 2000 the edge is t = 103,769.
@@ -460,9 +449,7 @@ def test_anderson_count_is_refused_before_its_binomial_is_built():
     assert anderson_count(2000, 103769).bit_length() == 14284
     # t = 1 has one core however large s is, and s has 1,001 bits here
     assert anderson_count(2**1000 + 1, 1) == 1
-    previous = signal.signal(signal.SIGALRM, _on_count_alarm)
-    signal.alarm(1)
-    try:
+    with within(1, "anderson_count"):
         for (s, t), text in {
             (2000, 103771): "count of (2000, 103771)-cores of at least 14285 bits exceeds the cap of 14284 bits",
             (7300, 7301): "count of (7300, 7301)-cores of at least 14579 bits exceeds the cap of 14284 bits",
@@ -470,9 +457,6 @@ def test_anderson_count_is_refused_before_its_binomial_is_built():
         }.items():
             with pytest.raises(DomainError, match=f"^{re.escape(text)}$"):
                 anderson_count(s, t)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 def test_anderson_count_builds_only_binomials_near_the_cap(monkeypatch):
@@ -583,27 +567,15 @@ def test_enumerated_cores_are_plain_partitions():
             assert hash(core) == hash(Partition(core.parts))
 
 
-def _on_alarm(signum, frame):
-    raise TimeoutError("enumerate_st_cores did not return within the alarm")
-
-
 def test_enumeration_near_its_cap_is_fast_and_small():
     """(2, 4471) has 2,236 cores of up to 2,235 rows, summing 2.5 million
     parts, and sizes up to Kane's 2,498,730: the buckets are keyed by the sizes
     that occur, not laid out for every size up to the bound."""
-    previous = signal.signal(signal.SIGALRM, _on_alarm)
-    signal.alarm(10)
-    tracemalloc.start()
-    try:
+    with within(10, "enumerate_st_cores(2, 4471)"), peak_memory() as peak:
         cores = enumerate_st_cores(2, 4471)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
     assert len(cores) == anderson_count(2, 4471) == 2236
     assert size(cores[-1]) == (2**2 - 1) * (4471**2 - 1) // 24
-    assert peak < 40 * 2**20
+    assert peak.bytes < 40 * 2**20
 
 
 def _runner_gap_scan(s, t):
@@ -851,10 +823,8 @@ def test_orbit_closure_is_refused_once_its_visits_pass_the_cap(monkeypatch):
 
 
 def test_large_orbit_closure_is_refused_in_bounded_time():
-    start = time.perf_counter()
-    with pytest.raises(DomainError, match="^orbit closure of"):
+    with within(10, "level_orbit_up_to_size(12, 5, 400)"), pytest.raises(DomainError, match="^orbit closure of"):
         level_orbit_up_to_size(12, 5, 400)
-    assert time.perf_counter() - start < 10
 
 
 def test_chains_sweep_rhomboid():
