@@ -105,20 +105,25 @@ def partition_from_beta_set(b: BetaSet) -> Partition:
     return Partition(tuple(head + i for i, head in enumerate(b.heads, start=1)))
 
 
+# The rule for the byte passes over ``_runner_bytes``: from _BYTE_ROWS rows up
+# and for s <= _BYTE_S_MAX, where their byte sums cannot carry.
+_BYTE_ROWS, _BYTE_S_MAX = 256, 29
+
+
 def _packed_first_gaps(p: Partition, s: int) -> list[int]:
     """First gap per runner after packing all beads upwards, for a checked s.
 
     On runner r every position below base_r = (r + n) mod s - n, its lowest
     position >= -n, holds a tail bead, and packing stacks its row beads from
     base_r up: the first gap is base_r + s * (row beads on the runner).  Only
-    ``core`` needs the counts.  From 256 rows up, and for s <= 29, s
-    ``bytes.count`` calls on the runner bytes count them: per row, 5 ns to
-    pack, 1.5 ns per byte plane and 0.5-3 ns per count, after a few
-    microseconds of set-up; the loop: 40-55 ns.
+    ``core`` needs the counts.  On the byte path (``_BYTE_ROWS``,
+    ``_BYTE_S_MAX``), s ``bytes.count`` calls on the runner bytes count
+    them: per row, 5 ns to pack, 1.5 ns per byte plane and 0.5-3 ns per
+    count, after a few microseconds of set-up; the loop: 40-55 ns.
     """
     parts = p.parts
     n = len(parts)
-    if n >= 256 and s <= 29:
+    if n >= _BYTE_ROWS and s <= _BYTE_S_MAX:
         counts = list(map(_runner_bytes(parts, s).count, range(s)))
     else:
         counts = [0] * s
@@ -136,13 +141,13 @@ def _top_bead_gaps(p: Partition, s: int) -> tuple[list[int], bool]:
     gap from above, with equality iff the runner is full.  The packed gaps
     sum to s(s - 1)/2 (charge 0), so p is an s-core iff these do, and then
     they are Q(lambda).  A runner's top bead is on its first row: one
-    ``find`` (a memchr) on the runner bytes from 256 rows up and for s <= 29,
-    otherwise a scan up from the last row.
+    ``find`` (a memchr) on the runner bytes on the byte path (``_BYTE_ROWS``,
+    ``_BYTE_S_MAX``), otherwise a scan up from the last row.
     """
     parts = p.parts
     n = len(parts)
     gaps = [(r + n) % s - n for r in range(s)]
-    if n >= 256 and s <= 29:
+    if n >= _BYTE_ROWS and s <= _BYTE_S_MAX:
         for r, i in enumerate(map(_runner_bytes(parts, s).find, range(s))):
             if i >= 0:
                 gaps[r] = parts[i] - i - 1 + s

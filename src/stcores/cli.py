@@ -1,17 +1,21 @@
 """Command-line surface.
 
-Exit codes: 0 success, 1 usage error, closed output or an --out file that
-cannot be written, 2 domain error
+Exit codes: 0 success, 1 usage error, an --out file that cannot be written,
+or an output that cannot be written: a full disk or a closed stdout (one
+"stcores:" line on stderr) or a closed pipe (silent), 2 domain error
 (malformed input, non-coprime pair, unsupported s), 3 verification
-failure.  Every command accepts --json and then emits {"input": ...,
-"result": ..., "meta": ...}.
+failure.  These cover runs that are not interrupted: an interrupt (SIGINT)
+exits 130 without a traceback.  Every command accepts --json and then
+emits {"input": ..., "result": ..., "meta": ...}.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
+from itertools import chain
 
 # diagram, verify and json are imported by the commands that use them, so the
 # others neither compile nor import them at start-up
@@ -29,58 +33,61 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _envelope(input_obj, result, s, t) -> dict:
-    return {"input": input_obj, "result": result, "meta": {"s": s, "t": t}}
+def _emit(args, input_obj, result, plain=None, records=None) -> None:
+    """Write a command's output; no other function here writes stdout.
 
-
-def _emit(args, input_obj, result, s=None, t=None, plain=None) -> None:
-    if args.json:
-        import json
-
-        print(json.dumps(_envelope(input_obj, result, s, t)))
-    else:
-        for line in plain if plain is not None else [result]:
-            print(line)
-
-
-def _emit_steps(args, input_obj, final_key, final, steps, s, t) -> None:
-    """Write each (generator, s-set, core) step as it comes, then the final core.
-
-    Plain output is one line per step and the final core last.  With --json
-    the envelope goes out in pieces, one {"step", "gen", "sset", "core"}
-    record per step, that add up to json.dumps of the whole payload.  Only
-    the step at hand is held, and its core is written through one memo of
-    part names for the whole printout (``partitions.to_text_memo``).
+    Plain output is the lines of ``plain``, or ``result`` alone.  With
+    --json it is the {"input", "result", "meta"} envelope, with meta's s and
+    t read from the parsed arguments; given ``records``, they are streamed
+    one by one into the result's one empty list, so only the record at hand
+    is held, and the bytes add up to json.dumps of the whole payload.
     """
     write = sys.stdout.write  # looked up per call, so a redirected stdout is honoured
-    core_text = parts.to_text_memo()
-    if args.json:
-        import json
+    if not args.json:
+        for line in (result,) if plain is None else plain:
+            write(f"{line}\n")  # one write per line, a syscall apiece when unbuffered
+        return
+    import json
 
-        # only meta's ints follow the steps list, so its "[]" is the last one
-        envelope = _envelope(input_obj, {final_key: final, "steps": []}, s, t)
-        head, _, tail = json.dumps(envelope).rpartition("[]")
+    meta = {"s": vars(args).get("s"), "t": vars(args).get("t")}
+    text = json.dumps({"input": input_obj, "result": result, "meta": meta})
+    if records is not None:
+        # only meta's ints or nulls follow the result, so its list is the last "[]"
+        head, _, text = text.rpartition("[]")
         write(head + "[")
-    for n, (i, q, core) in enumerate(steps, start=1):
-        record = {"step": n, "gen": i, "sset": abacus.sset_to_text(q), "core": core_text(core)}
-        if args.json:
-            write((", " if n > 1 else "") + json.dumps(record))
-        else:
-            write("step {step}: gen={gen} sset={sset} core={core}\n".format_map(record))
-    write("]" + tail + "\n" if args.json else final + "\n")
+        for n, record in enumerate(records):
+            write((", " if n else "") + json.dumps(record))
+        text = "]" + text
+    write(text + "\n")
+
+
+_step_line = "step {step}: gen={gen} sset={sset} core={core}".format_map
+
+
+def _emit_steps(args, input_obj, final_key, final, steps) -> None:
+    """Hand ``_emit`` the (generator, s-set, core) steps as records, each
+    formatted only when its line is due, its core through one memo of part
+    names for the whole printout; plain, the final core is the last line."""
+    core_text = parts.to_text_memo()
+    records = (
+        {"step": n, "gen": i, "sset": abacus.sset_to_text(q), "core": core_text(core)}
+        for n, (i, q, core) in enumerate(steps, start=1)
+    )
+    plain = chain(map(_step_line, records), (final,))
+    _emit(args, input_obj, {final_key: final, "steps": []}, plain=plain, records=records)
 
 
 def _cmd_core(args) -> int:
     p = parts.from_text(args.partition)
     result = parts.to_text(abacus.core(p, args.s))
-    _emit(args, {"partition": args.partition}, result, s=args.s)
+    _emit(args, {"partition": args.partition}, result)
     return 0
 
 
 def _cmd_qset(args) -> int:
     p = parts.from_text(args.partition)
     result = abacus.sset_to_text(abacus.q_set(p, args.s))
-    _emit(args, {"partition": args.partition}, result, s=args.s)
+    _emit(args, {"partition": args.partition}, result)
     return 0
 
 
@@ -88,34 +95,27 @@ def _cmd_act(args) -> int:
     point = alcoves.point_from_text(args.point)
     if args.s is not None and args.s != point.s:
         raise DomainError(f"--s {args.s} does not match a point with {point.s} coordinates")
+    args.s = point.s  # meta's s: the point's size, given --s or not
     word = act.parse_word(args.word)
     result = alcoves.point_to_text(act.apply_word(word, args.action, args.t, point))
-    _emit(
-        args,
-        {"action": args.action, "word": args.word, "point": args.point},
-        result,
-        s=point.s,
-        t=args.t,
-    )
+    _emit(args, {"action": args.action, "word": args.word, "point": args.point}, result)
     return 0
 
 
 def _cmd_kappa(args) -> int:
-    result = parts.to_text(orbits.kappa(args.s, args.t))
-    _emit(args, {}, result, s=args.s, t=args.t)
+    _emit(args, {}, parts.to_text(orbits.kappa(args.s, args.t)))
     return 0
 
 
 def _cmd_count(args) -> int:
-    result = orbits.anderson_count(args.s, args.t)
-    _emit(args, {}, result, s=args.s, t=args.t)
+    _emit(args, {}, orbits.anderson_count(args.s, args.t))
     return 0
 
 
 def _cmd_enumerate(args) -> int:
-    # plain lines are written as they are formatted, so no list of them is held
+    # each core's text is written as it is formatted, so no list of them is held
     cores = map(parts.to_text_memo(), orbits.enumerate_st_cores(args.s, args.t))
-    _emit(args, {}, list(cores) if args.json else None, s=args.s, t=args.t, plain=cores)
+    _emit(args, {}, [], plain=cores, records=cores)
     return 0
 
 
@@ -127,31 +127,30 @@ def _cmd_orbit_min(args) -> int:
     check_scan(len(trace) * args.s, "descent printout")
     check_scan(sum(args.s + max(c) - min(c) for _, _, c in trace._replay()), "descent printout")
     steps = ((i, q, abacus.core_from_s_set(q)) for i, q in trace.iter_steps())
-    _emit_steps(args, {"partition": args.partition}, "t_core", parts.to_text(nu), steps, args.s, args.t)
+    _emit_steps(args, {"partition": args.partition}, "t_core", parts.to_text(nu), steps)
     return 0
 
 
 def _cmd_chain(args) -> int:
     point = alcoves.point_from_text(args.point)
-    chain = orbits.containment_chain(point, args.s, args.t)
+    walk = orbits.containment_chain(point, args.s, args.t)
     steps = (
         (i, alcoves.sset_of_point(p), core)
-        for i, p, core in zip(chain.gens, chain.points[1:], chain.cores[1:])
+        for i, p, core in zip(walk.gens, walk.points[1:], walk.cores[1:])
     )
-    _emit_steps(args, {"point": args.point}, "final_core", parts.to_text(chain.cores[-1]), steps,
-                args.s, args.t)
+    _emit_steps(args, {"point": args.point}, "final_core", parts.to_text(walk.cores[-1]), steps)
     return 0
 
 
 def _cmd_verify(args) -> int:
-    if args.s_max < 2 or args.t_max < 2 or args.trials < 1:
+    if args.s < 2 or args.t < 2 or args.trials < 1:
         print("stcores verify: error: --s-max and --t-max must be at least 2, --trials at least 1",
               file=sys.stderr)
         return 1
     from .verify import run_suites
 
     names = list(_SUITES) if args.suite == "all" else [args.suite]
-    checks = run_suites(names, args.s_max, args.t_max, args.seed, args.trials)
+    checks = run_suites(names, args.s, args.t, args.seed, args.trials)
     rows = [{"check": name, "pass": ok, "detail": detail} for name, ok, detail in checks]
     width = max(len(name) for name, _, _ in checks)
     plain = [
@@ -160,8 +159,7 @@ def _cmd_verify(args) -> int:
     ]
     failures = sum(1 for _, ok, _ in checks if not ok)
     plain.append(f"{len(checks) - failures}/{len(checks)} checks passed")
-    _emit(args, {"suites": names, "seed": args.seed, "trials": args.trials},
-          rows, s=args.s_max, t=args.t_max, plain=plain)
+    _emit(args, {"suites": names, "seed": args.seed, "trials": args.trials}, rows, plain)
     return 3 if failures else 0
 
 
@@ -182,7 +180,7 @@ def _cmd_diagram(args) -> int:
     else:
         result = {"svg": svg}
         plain = [svg.rstrip("\n")]
-    _emit(args, {"depth": args.depth, "mode": args.mode}, result, s=args.s, t=args.t, plain=plain)
+    _emit(args, {"depth": args.depth, "mode": args.mode}, result, plain)
     return 0
 
 
@@ -232,8 +230,9 @@ def _build_parser() -> _Parser:
 
     p = add("verify", _cmd_verify, help="run invariant suites")
     p.add_argument("--suite", choices=[*_SUITES, "all"], default="all")
-    p.add_argument("--s-max", type=int, default=6)
-    p.add_argument("--t-max", type=int, default=7)
+    # stored as s and t, which meta reports for every command
+    p.add_argument("--s-max", dest="s", metavar="S_MAX", type=int, default=6)
+    p.add_argument("--t-max", dest="t", metavar="T_MAX", type=int, default=7)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=200)
 
@@ -248,21 +247,29 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
+        if sys.stdout is None:  # started with fd 1 closed
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         code = args.func(args)
         sys.stdout.flush()  # a closed output is then seen here, not at exit
         return code
     except DomainError as exc:
         print(f"stcores: {exc}", file=sys.stderr)
         return 2
-    except BrokenPipeError:
-        # the reader went away: send what is still buffered to devnull, so the
-        # interpreter's last flush is silent (the recipe in the signal docs)
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+    except KeyboardInterrupt:
+        return 130  # 128 + SIGINT, as a shell reports it
+    except OSError as exc:
+        # only stdout is written here (--out's errors stay in its command); a
+        # reader that went away chose to, so a closed pipe is silent
+        if not isinstance(exc, BrokenPipeError):
+            print(f"stcores: cannot write output: {exc.strerror or exc}", file=sys.stderr)
+        if sys.stdout is not None:
+            # send what is still buffered to devnull, so the interpreter's last
+            # flush is silent (the recipe in the signal docs)
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         return 1
 
 

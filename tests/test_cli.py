@@ -157,6 +157,17 @@ def test_exit_codes(capsys):
         assert err.startswith("stcores") and len(err.splitlines()) == 1, argv
 
 
+def test_a_keyboard_interrupt_in_a_command_exits_130(capsys, monkeypatch):
+    """A KeyboardInterrupt inside a command ends main with 130, 128 + SIGINT,
+    and nothing on either stream."""
+
+    def interrupted(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "_cmd_count", interrupted)
+    assert run_cli(capsys, "count", "--s", "3", "--t", "4") == (130, "", "")
+
+
 def test_diagram_without_out_prints_the_svg(capsys):
     from stcores.diagram import RenderSpec, render_svg
 

@@ -1,10 +1,12 @@
-"""What a CLI call loads at start-up, and how it ends when its reader goes away.
+"""What a CLI call loads at start-up, and how it ends when its output cannot
+be written or it is interrupted.
 
 Each test runs a fresh interpreter, since the test process has imported
 every module already.
 """
 
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import stcores
+from conftest import within
 from stcores import cli, verify
 
 SRC = str(Path(stcores.__file__).resolve().parent.parent)
@@ -108,7 +111,7 @@ def test_closed_output_exits_1_without_a_traceback(argv):
 
 @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
 def test_output_closed_before_the_first_byte_exits_1_without_a_traceback(unbuffered):
-    """Unbuffered, the first print meets the closed pipe; buffered, a short
+    """Unbuffered, the first write meets the closed pipe; buffered, a short
     output is written by the last flush, which main does itself, so that one
     does not happen at interpreter exit either."""
     env = dict(ENV, PYTHONUNBUFFERED=unbuffered)
@@ -120,3 +123,46 @@ def test_output_closed_before_the_first_byte_exits_1_without_a_traceback(unbuffe
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (1, b"")
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [
+    ["count", "--s", "3", "--t", "4"],
+    ["count", "--s", "3", "--t", "4", "--json"],
+    ["enumerate", "--s", "10", "--t", "11"],  # 573 KB, more than a buffer
+], ids=["count", "count-json", "enumerate"])
+@pytest.mark.parametrize("redirect", [
+    pytest.param(">/dev/full", marks=pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")),
+    ">&-",
+])
+def test_an_output_that_cannot_be_written_is_one_stderr_line_and_exit_1(redirect, argv, unbuffered):
+    """`>/dev/full`: every write to stdout fails with ENOSPC, the first write
+    unbuffered; buffered, a write once the buffer fills or main's flush.  What
+    is still buffered then goes to devnull, so the interpreter's last flush
+    is silent and does not turn exit 1 into 120.  `>&-`: with fd 1 closed
+    the interpreter starts with no sys.stdout, which main counts as closed
+    before the command runs."""
+    argv = ["sh", "-c", f'exec "$0" -m stcores "$@" {redirect}', sys.executable, *argv]
+    with within(60, " ".join(argv)):
+        proc = subprocess.run(argv, stderr=subprocess.PIPE, text=True, env=dict(ENV, PYTHONUNBUFFERED=unbuffered))
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("stcores: cannot write output: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_an_interrupt_exits_130_without_a_traceback(unbuffered):
+    """SIGINT, sent once the first line is out, finds the command writing its
+    4.7 MB into a pipe that holds far less: it exits 130, and the test reads
+    on, so the output still buffered drains at exit."""
+    proc = subprocess.Popen([sys.executable, "-m", "stcores", "enumerate", "--s", "13", "--t", "11"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=dict(ENV, PYTHONUNBUFFERED=unbuffered))
+    try:
+        with within(60, "enumerate --s 13 --t 11 under SIGINT"):
+            assert proc.stdout.readline()
+            proc.send_signal(signal.SIGINT)
+            _, err = proc.communicate()
+    finally:
+        proc.kill()
+    assert (proc.returncode, err) == (130, b"")
