@@ -11,14 +11,17 @@ bead counting instead of simulating single slides; the two agree because
 sliding preserves per-runner bead counts above any fixed floor.
 
 Every core is rebuilt from its first gaps, one per runner, by
-``_partition_from_first_gaps``.  Below 4 s^2 rows it sorts the beads;
-from there up it writes the rows of each band between two consecutive
-gaps as interleaved arithmetic progressions, which cost 11-55 % as much
-per row from 20 s^2 rows up.  The choice depends on the row count n and s
-alone.  The progressions slice their parts out of ``_part_values``, one
-process-wide list of the int objects 0..L, grown on demand to at most 2^16
-entries: an equal part of every core they build is one object, and a row
-costs a pointer in place of a pointer and a new int.
+``_rows_from_first_gaps``.  Below 4 s^2 rows it sorts the beads; from
+there up it writes the rows of each band between two consecutive gaps as
+interleaved arithmetic progressions, which cost 11-55 % as much per row
+from 20 s^2 rows up.  The choice depends on the row count n and s alone.
+Each row is an entry of a table indexed by part.  For a ``Partition`` it
+is ``_part_values``, one process-wide list of the int objects 0..L, grown
+on demand to at most 2^16 entries: an equal part of every core built is one
+object, and a progression's row costs a pointer in place of a pointer and a
+new int.  For the text of a core, ``_core_text``, it is ``_part_names``,
+the same list of the parts' names, so a row is a pointer and the core's
+text one join.
 
 ``q_set`` and ``is_s_core`` read an s-core by the top bead of each runner
 (``_top_bead_gaps``); ``core`` counts the beads on each runner, because the
@@ -37,7 +40,7 @@ import sys
 from functools import cache
 from operator import add, sub
 
-from .errors import DomainError, _Value, _set, _trusted, check_int, check_s_set, check_span
+from .errors import DomainError, _Value, _set, _trusted, _write_ints, check_int, check_s_set, check_span
 from .partitions import Partition
 
 
@@ -90,7 +93,13 @@ def make_sset(s: int, elements) -> SSet:
 
 
 def sset_to_text(q: SSet) -> str:
-    return "[" + ",".join(str(a) for a in q.sorted_elements()) + "]"
+    return _sset_text(q.elements)
+
+
+def _sset_text(elements) -> str:
+    """``sset_to_text`` of the s-set with these elements, which need not be
+    held in an ``SSet``: sorted, in brackets, by one C-level % format."""
+    return _write_ints(sorted(elements), "[]")
 
 
 def beta_set(p: Partition) -> BetaSet:
@@ -192,8 +201,12 @@ def _runner_bytes(parts, s: int) -> bytes:
 # The int objects 0..L, _part_values[i] == i: the row progressions slice their
 # parts out of this one list, so an equal part of every core they build is one
 # object.  It grows on demand to at most _PART_CAP entries, about 2.6 MB.
+# _part_names, _part_names[i] == str(i), is its text twin, from which the
+# descent printout's cores are laid out as text; it has the same cap, about
+# 4 MB at the cap.
 _PART_CAP = 1 << 16
 _part_values = [0]
+_part_names = ["0"]
 
 
 def _values_through(top: int):
@@ -213,6 +226,21 @@ def _values_through(top: int):
     return values
 
 
+def _names_through(top: int):
+    """``_part_names`` through index top, grown as ``_values_through`` grows
+    its list, or None once top reaches the cap."""
+    global _part_names
+    names = _part_names
+    if top < len(names):
+        return names
+    if top >= _PART_CAP:
+        return None
+    names = names[:]
+    names += map(str, range(len(names), top + 1))
+    _part_names = names
+    return names
+
+
 # A core of at least this many rows per s^2 is laid out as row progressions.
 # Against the sorted beads they cost 1.03-1.07x at 3 s^2 rows for s = 2, 3, 5,
 # where a call's fixed cost still weighs, and at 4 s^2 rows 0.93-1.02x for
@@ -220,29 +248,31 @@ def _values_through(top: int):
 _PROGRESSION_ROWS = 4
 
 
-def _partition_from_first_gaps(gaps, s: int) -> Partition:
-    """Rebuild the partition whose packed abacus has the given first gaps (any
-    collection of s, one per class); it has n = -min(gaps) rows.
+def _rows_from_first_gaps(gaps, s: int, table):
+    """The rows of the partition whose packed abacus has the given first gaps
+    (any collection of s, one per class), a part p written as table[p]; it has
+    n = -min(gaps) rows, and ``table`` runs at least through the first row's
+    part, max(gaps) - s + 1.  ``_partition_from_first_gaps`` passes the
+    part values, ``_core_text`` the part names.
 
-    Below 4 s^2 rows the beads are listed runner by runner, sorted and offset
-    by their row index: 70-220 ns per row at 3-4 s^2 rows for s = 2..64, the
-    more the smaller s, and 80 bytes per row at peak.  From 4 s^2 rows up
+    Below 4 s^2 rows the beads are listed runner by runner, sorted, offset
+    by their row index and looked up in ``table``: 70-220 ns per row at 3-4
+    s^2 rows for s = 2..64, the more the smaller s, and 80 bytes per row at
+    peak.  From 4 s^2 rows up
     they are laid out as row progressions.  Let G_0 > ... > G_(s-1) = -n be
     the gaps in order.  In the band G_k <= x < G_(k-1) only the k runners of
     G_0 .. G_(k-1) hold beads, one in every s positions each, so the band's
     rows interleave as k progressions in which the row steps by k and the
-    part by k - s.  Each is one strided slice of ``values`` assigned into the
+    part by k - s.  Each is one strided slice of ``table`` assigned into the
     rows, or one item for a progression of one row: no bead list, no sort,
-    no addition and no new int per row.  ``values[i] == i``: it is the shared
-    ``_part_values`` while the first row, the largest part, is below
-    ``_PART_CAP`` = 2^16, and a ``range`` from there up.  On the list a row
-    costs a pointer in the row list and one in the parts tuple, 16 bytes at
-    peak; on the range a new int besides, 48 bytes.  That is O(s^2)
-    Python-level steps per core, which the rule bounds by O(n), and C-level
-    work per row: 39-156 ns per row at 4 s^2 rows and 19-36 ns at 20 s^2 rows
-    for s = 2..64, and 11-20 ns at 10^5 rows for s = 3..64 (41 ns at s = 2,
-    whose 10^5-row core reaches the cap), on a box where the sorted beads
-    take 90-124 ns per row at 10^5 rows.
+    no addition and no new object per row.  With the shared part values, a
+    row costs a pointer in the row list and one in the parts tuple, 16 bytes
+    at peak; with a ``range`` past their cap, a new int besides, 48 bytes.
+    That is O(s^2) Python-level steps per core, which the rule bounds by
+    O(n), and C-level work per row: 39-156 ns per row at 4 s^2 rows and
+    19-36 ns at 20 s^2 rows for s = 2..64, and 11-20 ns at 10^5 rows for
+    s = 3..64 (41 ns at s = 2, whose 10^5-row core reaches the cap), on a box
+    where the sorted beads take 90-124 ns per row at 10^5 rows.
     """
     floor = min(gaps)
     n = -floor
@@ -255,9 +285,8 @@ def _partition_from_first_gaps(gaps, s: int) -> Partition:
         beads.sort(reverse=True)
         # the distinct beads above floor = -n give weakly decreasing parts
         # b_i + i >= 1; callers bound the span, hence the size
-        return _trusted(Partition, parts=tuple(map(add, beads, range(1, n + 1))))
+        return tuple(map(table.__getitem__, map(add, beads, range(1, n + 1))))
     top = sorted(gaps, reverse=True)
-    values = _values_through(top[0] - s + 1)  # the first row's part, the largest
     rows = [0] * n
     start = 0  # the first row of the band
     for k in range(1, s):
@@ -273,16 +302,35 @@ def _partition_from_first_gaps(gaps, s: int) -> Partition:
             m = (span - d) // s + 1  # the runner's beads in the band
             part = h - d + row + 1
             if m == 1:
-                rows[row] = values[part]
+                rows[row] = table[part]
             else:
                 # the last part is at least 1, so the slice stops at a
                 # non-negative index
-                rows[row:row + k * m:k] = values[part:part + (m - 1) * step - 1:step]
+                rows[row:row + k * m:k] = table[part:part + (m - 1) * step - 1:step]
             start += m
             row += 1
     if start != n:  # more beads than rows fail in the assignments above
         raise RuntimeError("first-gap data does not describe a charge-0 abacus")
+    return rows
+
+
+def _partition_from_first_gaps(gaps, s: int) -> Partition:
+    """The partition laid out by ``_rows_from_first_gaps``, its parts the
+    shared part values below the cap."""
+    rows = _rows_from_first_gaps(gaps, s, _values_through(max(gaps) - s + 1))
     return _trusted(Partition, parts=tuple(rows))
+
+
+def _core_text(gaps, s: int) -> str:
+    """``partitions.to_text`` of the partition laid out from the given first
+    gaps, for a checked span, with no partition, s-set or memo built: the
+    rows are the shared part names, so a row is one pointer copied and one
+    join, and past their cap the int rows are written by one % format."""
+    top = max(gaps) - s + 1  # the first row's part, the largest
+    names = _names_through(top)
+    if names is None:
+        return _write_ints(_rows_from_first_gaps(gaps, s, range(top + 1)))
+    return ",".join(_rows_from_first_gaps(gaps, s, names))
 
 
 def _hooks_below(p: Partition, s: int) -> bool:

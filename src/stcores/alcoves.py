@@ -12,8 +12,8 @@ from itertools import combinations, product
 
 from .abacus import SSet
 from . import errors
-from .errors import DomainError, _Value, _read_ints, _set, _trusted, check_coords, check_int, check_level, check_pair
-from .errors import check_s_set, check_scan, check_span
+from .errors import DomainError, _Value, _read_ints, _set, _trusted, _write_ints, check_coords, check_int, check_level
+from .errors import check_pair, check_s_set, check_scan, check_span
 
 
 class SPoint(_Value):
@@ -64,7 +64,7 @@ class AlcoveKey(_Value):
 
 
 def point_to_text(p: SPoint) -> str:
-    return "(" + ",".join(str(c) for c in p.coords) + ")"
+    return _write_ints(p.coords, "()")
 
 
 def point_from_text(text: str) -> SPoint:

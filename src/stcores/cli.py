@@ -5,8 +5,9 @@ or an output that cannot be written: a full disk or a closed stdout (one
 "stcores:" line on stderr) or a closed pipe (silent), 2 domain error
 (malformed input, non-coprime pair, unsupported s), 3 verification
 failure.  These cover runs that are not interrupted: an interrupt (SIGINT)
-exits 130 without a traceback.  Every command accepts --json and then
-emits {"input": ..., "result": ..., "meta": ...}.
+exits 130 without a traceback.  A closed or full stderr loses the message,
+not the code.  Every command accepts --json and then emits
+{"input": ..., "result": ..., "meta": ...}.
 """
 
 from __future__ import annotations
@@ -29,12 +30,43 @@ _SUITES = ("core-oracle", "actions", "olsson", "vandehey")
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors by default; the contract wants 1
     def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
+        _say(f"{self.format_usage()}{self.prog}: error: {message}")
+        sys.exit(1)
+
+    def print_help(self, file=None):
+        # argparse ignores a failed write, and the help would then be flushed
+        # only at exit, past main: written and flushed here, a full disk is
+        # main's exit 1
+        file = sys.stdout if file is None else file
+        file.write(self.format_help())
+        file.flush()
+
+
+def _say(line: str) -> None:
+    """Write one line to stderr; no other function here writes it.  A closed
+    stderr, or one that cannot be written, loses the line, and the run keeps
+    the exit code it earned."""
+    if sys.stderr is None:  # started with fd 2 closed
+        return
+    try:
+        sys.stderr.write(line + "\n")
+        sys.stderr.flush()
+    except OSError:
+        _drain(sys.stderr)
+
+
+def _drain(stream) -> None:
+    """Point the stream's fd at devnull, so that what it still buffers goes
+    there and the interpreter's last flush is silent (the recipe in the
+    signal docs)."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, stream.fileno())
+    os.close(devnull)
 
 
 def _emit(args, input_obj, result, plain=None, records=None) -> None:
-    """Write a command's output; no other function here writes stdout.
+    """Write a command's output; no other function here writes stdout but
+    ``_Parser.print_help``, for --help.
 
     Plain output is the lines of ``plain``, or ``result`` alone.  With
     --json it is the {"input", "result", "meta"} envelope, with meta's s and
@@ -65,13 +97,12 @@ _step_line = "step {step}: gen={gen} sset={sset} core={core}".format_map
 
 
 def _emit_steps(args, input_obj, final_key, final, steps) -> None:
-    """Hand ``_emit`` the (generator, s-set, core) steps as records, each
-    formatted only when its line is due, its core through one memo of part
-    names for the whole printout; plain, the final core is the last line."""
-    core_text = parts.to_text_memo()
+    """Hand ``_emit`` the (generator, s-set text, core text) steps as
+    records, each formatted only when its line is due; plain, the final core
+    is the last line."""
     records = (
-        {"step": n, "gen": i, "sset": abacus.sset_to_text(q), "core": core_text(core)}
-        for n, (i, q, core) in enumerate(steps, start=1)
+        {"step": n, "gen": i, "sset": sset, "core": core}
+        for n, (i, sset, core) in enumerate(steps, start=1)
     )
     plain = chain(map(_step_line, records), (final,))
     _emit(args, input_obj, {final_key: final, "steps": []}, plain=plain, records=records)
@@ -126,7 +157,8 @@ def _cmd_orbit_min(args) -> int:
     # span: bound the steps, then the replayed spans, before the first byte
     check_scan(len(trace) * args.s, "descent printout")
     check_scan(sum(args.s + max(c) - min(c) for _, _, c in trace._replay()), "descent printout")
-    steps = ((i, q, abacus.core_from_s_set(q)) for i, q in trace.iter_steps())
+    # each step's core is laid out as text straight from the replayed s-set
+    steps = ((i, abacus._sset_text(c), abacus._core_text(c, args.s)) for i, _, c in trace._replay())
     _emit_steps(args, {"partition": args.partition}, "t_core", parts.to_text(nu), steps)
     return 0
 
@@ -134,8 +166,9 @@ def _cmd_orbit_min(args) -> int:
 def _cmd_chain(args) -> int:
     point = alcoves.point_from_text(args.point)
     walk = orbits.containment_chain(point, args.s, args.t)
+    core_text = parts.to_text_memo()  # one memo of part names for the whole printout
     steps = (
-        (i, alcoves.sset_of_point(p), core)
+        (i, abacus._sset_text(p.coords), core_text(core))
         for i, p, core in zip(walk.gens, walk.points[1:], walk.cores[1:])
     )
     _emit_steps(args, {"point": args.point}, "final_core", parts.to_text(walk.cores[-1]), steps)
@@ -144,8 +177,7 @@ def _cmd_chain(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.s < 2 or args.t < 2 or args.trials < 1:
-        print("stcores verify: error: --s-max and --t-max must be at least 2, --trials at least 1",
-              file=sys.stderr)
+        _say("stcores verify: error: --s-max and --t-max must be at least 2, --trials at least 1")
         return 1
     from .verify import run_suites
 
@@ -173,7 +205,7 @@ def _cmd_diagram(args) -> int:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(svg)
         except OSError as exc:  # only the file's: a closed stdout still reaches main
-            print(f"stcores: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+            _say(f"stcores: cannot write {args.out}: {exc.strerror or exc}")
             return 1
         result = {"path": args.out, "alcoves": len(diagram.dominant_alcoves(args.depth))}
         plain = [args.out]
@@ -248,28 +280,25 @@ def _build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
         if sys.stdout is None:  # started with fd 1 closed
             raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        args = _build_parser().parse_args(argv)  # --help and usage errors exit here
         code = args.func(args)
         sys.stdout.flush()  # a closed output is then seen here, not at exit
         return code
     except DomainError as exc:
-        print(f"stcores: {exc}", file=sys.stderr)
+        _say(f"stcores: {exc}")
         return 2
     except KeyboardInterrupt:
         return 130  # 128 + SIGINT, as a shell reports it
     except OSError as exc:
-        # only stdout is written here (--out's errors stay in its command); a
-        # reader that went away chose to, so a closed pipe is silent
+        # only stdout is written here (--out's errors stay in its command, and
+        # _say keeps stderr's); a reader that went away chose to, so a closed
+        # pipe is silent
         if not isinstance(exc, BrokenPipeError):
-            print(f"stcores: cannot write output: {exc.strerror or exc}", file=sys.stderr)
+            _say(f"stcores: cannot write output: {exc.strerror or exc}")
         if sys.stdout is not None:
-            # send what is still buffered to devnull, so the interpreter's last
-            # flush is silent (the recipe in the signal docs)
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
+            _drain(sys.stdout)
         return 1
 
 

@@ -148,6 +148,17 @@ def _read_ints(text: str, what: str, brackets: str = "", sep: str | None = ",") 
         raise DomainError(f"malformed {what}: {text!r}") from exc
 
 
+def _write_ints(values, brackets: str = "") -> str:
+    """The text that ``_read_ints`` reads back as the sequence ``values``: the
+    ints joined by commas, in the two brackets if any.  It is one C-level %
+    format, which writes each int straight into the text, with no str per
+    value, and whose template, "%d" + ",%d" * (n - 1), is the only other
+    string built: 3 bytes per value, and no second copy of the text."""
+    if not values:
+        return brackets
+    return (brackets[:1] + "%d" + ",%d" * (len(values) - 1) + brackets[1:]) % tuple(values)
+
+
 _new = object.__new__
 _set = object.__setattr__
 

@@ -309,6 +309,48 @@ def test_part_values_grow_safely_under_threads(monkeypatch):
     assert not errors, errors[:3]
 
 
+def test_part_names_grow_safely_under_threads(monkeypatch):
+    """The text twin of test_part_values_grow_safely_under_threads: four
+    threads write the same 7-cores by ``_core_text``, in order of their
+    first rows, from one name, each core by all four at once: every text is
+    the oracle's join, and the list published last holds str(i) at index i."""
+    rng = random.Random("name-threads")
+    cases = []
+    for n in range(_PROGRESSION_ROWS * 49, 40 * _PROGRESSION_ROWS * 49, 3 * 49):
+        q, _ = _core_with_rows(n, 7, rng)
+        expected = _position_scan_core(q.elements, 7)
+        cases.append((q, ",".join(map(str, expected.parts)), expected.parts[0]))
+    cases.sort(key=lambda case: case[2])
+    interval = sys.getswitchinterval()
+    errors = []
+
+    def write(order):
+        try:
+            for q, expected, _ in order:
+                together.wait()
+                if abacus._core_text(q.elements, 7) != expected:
+                    errors.append(q)
+        except Exception as exc:
+            errors.append(exc)
+
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+    try:
+        for _ in range(10):
+            monkeypatch.setattr(abacus, "_part_names", ["0"])
+            together = threading.Barrier(4, timeout=60)
+            threads = [threading.Thread(target=write, args=(cases,)) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            names = abacus._part_names
+            assert len(names) > 1000 and names == list(map(str, range(len(names))))
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors, errors[:3]
+
+
 def _runner_bytes_by_rows(parts, s):
     """Oracle for _runner_bytes: the runner of each bead lambda_i - i, one row at a time."""
     return bytes((part - i) % s for i, part in enumerate(parts, start=1))

@@ -130,7 +130,8 @@ def test_output_closed_before_the_first_byte_exits_1_without_a_traceback(unbuffe
     ["count", "--s", "3", "--t", "4"],
     ["count", "--s", "3", "--t", "4", "--json"],
     ["enumerate", "--s", "10", "--t", "11"],  # 573 KB, more than a buffer
-], ids=["count", "count-json", "enumerate"])
+    ["--help"],
+], ids=["count", "count-json", "enumerate", "help"])
 @pytest.mark.parametrize("redirect", [
     pytest.param(">/dev/full", marks=pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")),
     ">&-",
@@ -139,15 +140,36 @@ def test_an_output_that_cannot_be_written_is_one_stderr_line_and_exit_1(redirect
     """`>/dev/full`: every write to stdout fails with ENOSPC, the first write
     unbuffered; buffered, a write once the buffer fills or main's flush.  What
     is still buffered then goes to devnull, so the interpreter's last flush
-    is silent and does not turn exit 1 into 120.  `>&-`: with fd 1 closed
-    the interpreter starts with no sys.stdout, which main counts as closed
-    before the command runs."""
+    is silent and does not turn exit 1 into 120.  argparse's --help, which
+    would ignore a failed write and leave its flush to exit, is written and
+    flushed inside main.  `>&-`: with fd 1 closed the interpreter starts with
+    no sys.stdout, which main counts as closed before it parses the argv."""
     argv = ["sh", "-c", f'exec "$0" -m stcores "$@" {redirect}', sys.executable, *argv]
     with within(60, " ".join(argv)):
         proc = subprocess.run(argv, stderr=subprocess.PIPE, text=True, env=dict(ENV, PYTHONUNBUFFERED=unbuffered))
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr.startswith("stcores: cannot write output: ") and proc.stderr.count("\n") == 1, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv, code", [
+    (["kappa", "--s", "4", "--t", "6"], 2),  # a domain error: (4, 6) is not coprime
+    (["kappa", "--bogus"], 1),  # a usage error, reported by argparse
+], ids=["domain", "usage"])
+@pytest.mark.parametrize("redirect", [
+    pytest.param("2>/dev/full", marks=pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")),
+    "2>&-",
+])
+def test_a_lost_error_message_keeps_the_exit_code(redirect, argv, code, unbuffered):
+    """With stderr closed or on a full disk the one error message is lost,
+    and the run exits with the code it earned, not 1 from a failed print or
+    120 from a failed flush at exit.  Nothing, no traceback and no
+    "Exception ignored" line, reaches stdout, the one fd still open."""
+    argv = ["sh", "-c", f'exec "$0" -m stcores "$@" {redirect}', sys.executable, *argv]
+    with within(60, " ".join(argv)):
+        proc = subprocess.run(argv, stdout=subprocess.PIPE, text=True, env=dict(ENV, PYTHONUNBUFFERED=unbuffered))
+    assert (proc.returncode, proc.stdout) == (code, "")
 
 
 @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
